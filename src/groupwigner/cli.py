@@ -26,6 +26,7 @@ the output metadata so a run can be reproduced bit-identically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -140,27 +141,30 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # output plumbing
 
 
-def _write_text(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
+def _write_report(report: dict, config: RunConfig, columns, rows, footer=None) -> None:
+    """Write ``report`` to ``config.out`` (stdout when unset).
+
+    JSON is the whole report, streamed to the file.  CSV is the metadata as
+    ``# key=value`` comment lines, the ``columns`` header, one line per entry
+    of ``rows`` and, when given, a closing ``footer`` comment line.
+    """
+    if config.out is None:
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_report(report: dict, config: RunConfig, rows_key: str, columns) -> None:
-    if config.fmt == "json":
-        _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", config.out)
-        return
-    lines = []
-    meta = report["metadata"]
-    for key in sorted(meta):
-        lines.append(f"# {key}={json.dumps(meta[key], sort_keys=True)}")
-    lines.append(",".join(columns))
-    for row in report[rows_key]:
-        cells = [row.get(c, "") for c in columns]
-        lines.append(",".join(_csv_cell(c) for c in cells))
-    _write_text("\n".join(lines) + "\n", config.out)
+        target = open(config.out, "w", encoding="utf-8")
+    with target as fh:
+        if config.fmt == "json":
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+            return
+        meta = report["metadata"]
+        for key in sorted(meta):
+            fh.write(f"# {key}={json.dumps(meta[key], sort_keys=True)}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+        if footer is not None:
+            fh.write(footer + "\n")
 
 
 def _csv_cell(value) -> str:
@@ -202,10 +206,6 @@ def _ggrid(config: RunConfig) -> grids.QuadratureGrid:
     return grids.haar_grid(*config.grid_shape)
 
 
-def _kgrid_for(two_band: int) -> grids.HemisphereGrid:
-    return grids.hemisphere_grid_for(two_band)
-
-
 def _check_orthogonality(config, rng):
     grid = grids.haar_grid(*config.grid_shape, verify=False)
     if 2 * grid.exactness_degree < config.jmax_twice:
@@ -214,15 +214,10 @@ def _check_orthogonality(config, rng):
             f"{grid.exactness_degree}; orthogonality up to two_j="
             f"{config.jmax_twice} needs degree {config.jmax_twice}/2"
         )
-    cols = []
-    for two_j in range(config.jmax_twice + 1):
-        d = irreps.dmatrix(two_j, grid.nodes)
-        cols.append(
-            np.sqrt(two_j + 1.0) * d.reshape(grid.n_nodes, (two_j + 1) ** 2)
-        )
-    f = np.concatenate(cols, axis=1)
-    gram = (f.conj().T * grid.weights) @ f
-    defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    defect = grids._gram_defect(
+        (irreps.dmatrix(two_j, grid.nodes) for two_j in range(config.jmax_twice + 1)),
+        grid.weights,
+    )
     return {"name": "orthogonality", "error": defect, "tolerance": 1e-10}
 
 
@@ -245,7 +240,7 @@ def _check_momentum_marginal(config, rng):
     rho = states.pure_ensemble(states.random_state(rng, config.jmax_twice))
     worst = 0.0
     for two_j in range(config.jmax_twice + 2):
-        kgrid = _kgrid_for(config.jmax_twice + two_j)
+        kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_j)
         marg = wigner.marginal_momentum(rho, two_j, grid, kgrid)
         ref = (
             states.density_coefficients(rho, two_j)
@@ -261,7 +256,7 @@ def _check_hermiticity(config, rng):
     gs = su2.random_elements(rng, 12)
     worst = 0.0
     for two_j in range(config.jmax_twice + 2):
-        kgrid = _kgrid_for(config.jmax_twice + two_j)
+        kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_j)
         for vals in wigner.wigner_full_batch(rho, gs, two_j, kgrid):
             worst = max(worst, wigner.hermiticity_defect(vals))
     return {"name": "hermiticity", "error": worst, "tolerance": 1e-10}
@@ -274,7 +269,7 @@ def _check_covariance(config, rng):
         h = su2.random_elements(rng, 1)[0]
         g = su2.random_elements(rng, 1)[0]
         for two_j in range(1, config.jmax_twice + 2):
-            kgrid = _kgrid_for(config.jmax_twice + two_j)
+            kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_j)
             blk = wigner.wigner_full(rho, g, two_j, kgrid)
             moved_l = wigner.transform_left(blk, h)
             rho_l = states.pure_ensemble(
@@ -298,7 +293,7 @@ def _check_covariance(config, rng):
 def _check_position_marginal(config, rng):
     state = _definite_parity_state(rng, config.jmax_twice)
     two_jsum = 2 * config.jmax_twice
-    kgrid = _kgrid_for(config.jmax_twice + two_jsum)
+    kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_jsum)
     gs = su2.random_elements(rng, 8)
     vals, _ = wigner.marginal_position(state, gs, two_jsum, kgrid)
     dens = np.abs(states.synthesize(state, gs)) ** 2
@@ -313,7 +308,7 @@ def _check_overlap(config, rng):
     a = states.pure_ensemble(states.random_state(rng, config.jmax_twice))
     b = states.pure_ensemble(states.random_state(rng, config.jmax_twice))
     two_jsum = min(config.jsum_twice, 2 * config.jmax_twice)
-    kgrid = _kgrid_for(config.jmax_twice + two_jsum)
+    kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_jsum)
     val_ab, _ = wigner.overlap_trace(a, b, two_jsum, grid, kgrid, "left")
     val_ba, _ = wigner.overlap_trace(b, a, two_jsum, grid, kgrid, "left")
     val_r, _ = wigner.overlap_trace(a, b, two_jsum, grid, kgrid, "right")
@@ -324,7 +319,7 @@ def _check_overlap(config, rng):
 def _check_reconstruction(config, rng):
     state = states.random_state(rng, config.jmax_twice)
     two_jsum = config.jsum_twice
-    kgrid = _kgrid_for(config.jmax_twice + two_jsum)
+    kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_jsum)
     g1, g2 = su2.random_elements(rng, 2)
     val_l, _ = wigner.reconstruct_kernel(state, g1, g2, two_jsum, kgrid, "left")
     val_r, _ = wigner.reconstruct_kernel(state, g1, g2, two_jsum, kgrid, "right")
@@ -340,7 +335,7 @@ def _check_traced_consistency(config, rng):
     gs = su2.random_elements(rng, 4)
     worst = 0.0
     for two_j in range(1, config.jmax_twice + 2):
-        kgrid = _kgrid_for(config.jmax_twice + two_j)
+        kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_j)
         for g in gs:
             full = wigner.wigner_full(rho, g, two_j, kgrid).values
             tl = wigner.wigner_tilde(rho, g, two_j, kgrid, "left").values
@@ -365,7 +360,7 @@ def _check_oracle(config, rng):
     )
     g = su2.random_elements(rng, 1)[0]
     pair_grid = grids.haar_grid(20, 12, 40, verify=False)
-    kgrid = _kgrid_for(3)
+    kgrid = grids.hemisphere_grid_for(3)
     worst_final = 0.0
     for two_j in (1, 2):
         exact = wigner.wigner_full(state, g, two_j, kgrid).values
@@ -574,11 +569,9 @@ def cmd_verify(config: RunConfig) -> int:
         "checks": results,
         "passed": passed,
     }
-    _emit_report(
-        report,
-        config,
-        "checks",
-        ["name", "error", "tolerance", "passed", "provenance", "detail"],
+    columns = ["name", "error", "tolerance", "passed", "provenance", "detail"]
+    _write_report(
+        report, config, columns, ([r[c] for c in columns] for r in results)
     )
     return 0 if passed else 1
 
@@ -601,9 +594,20 @@ def _nodes_array(payload, key, dtype=float):
     if not isinstance(payload, dict) or key not in payload:
         raise SchemaError(f"nodes file must be a JSON object with {key!r}")
     try:
-        return np.asarray(payload[key], dtype=dtype)
+        arr = np.asarray(payload[key], dtype=dtype)
     except (TypeError, ValueError):
         raise SchemaError(f"nodes entry {key!r} must be numeric") from None
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"nodes entry {key!r} must be finite (no NaN or inf)")
+    return arr
+
+
+def _block_columns(two_j: int, vals: np.ndarray):
+    """Flat columns (node index, two_j, two_m, two_n, two_mp, two_np, value)
+    of the blocks ``vals[node, M, N, M', N']``, in row-major order."""
+    node, *idx = (i.ravel() for i in np.indices(vals.shape))
+    labels = irreps.two_m_values(two_j)
+    return (node, np.full(node.size, two_j), *(labels[i] for i in idx), vals.ravel())
 
 
 def _su2_table(config, state_file, nodes_file):
@@ -616,43 +620,16 @@ def _su2_table(config, state_file, nodes_file):
             raise SchemaError("'euler' must be a list of [alpha, beta, gamma] rows")
     gs = su2.from_euler(euler[:, 0], euler[:, 1], euler[:, 2])
     j_list = list(range(config.jsum_twice + 1))
-    kgrid = _kgrid_for(rho.two_jmax + config.jsum_twice)
-    rows = []
-    for two_j in j_list:
-        vals = wigner.wigner_full_batch(rho, gs, two_j, kgrid)
-        labels = irreps.two_m_values(two_j)
-        for node, block in zip(euler, vals):
-            for im_, two_m in enumerate(labels):
-                for in_, two_n in enumerate(labels):
-                    for ip_, two_mp in enumerate(labels):
-                        for iq_, two_np in enumerate(labels):
-                            w = block[im_, in_, ip_, iq_]
-                            rows.append(
-                                [
-                                    float(node[0]),
-                                    float(node[1]),
-                                    float(node[2]),
-                                    two_j,
-                                    int(two_m),
-                                    int(two_n),
-                                    int(two_mp),
-                                    int(two_np),
-                                    float(w.real),
-                                    float(w.imag),
-                                ]
-                            )
-    columns = [
-        "alpha",
-        "beta",
-        "gamma",
-        "two_j",
-        "two_m",
-        "two_n",
-        "two_mp",
-        "two_np",
-        "re",
-        "im",
+    kgrid = grids.hemisphere_grid_for(rho.two_jmax + config.jsum_twice)
+    columns = ["alpha", "beta", "gamma", "two_j", "two_m", "two_n", "two_mp",
+               "two_np", "re", "im"]
+    blocks = [
+        _block_columns(two_j, wigner.wigner_full_batch(rho, gs, two_j, kgrid))
+        for two_j in j_list
     ]
+    node, two_js, m, n, mp, nq, w = (np.concatenate(c) for c in zip(*blocks))
+    cells = (*euler[node].T, two_js, m, n, mp, nq, w.real, w.imag)
+    rows = list(zip(*(c.tolist() for c in cells)))
     return rows, columns, {"j_list_twice": j_list}
 
 
@@ -705,17 +682,7 @@ def cmd_wigner(config: RunConfig, state_file: str, nodes_file=None) -> int:
     metadata["jsum_twice"] = config.jsum_twice
     metadata["columns"] = columns
     metadata.update(extra)
-    report = {"metadata": metadata, "rows": rows}
-    if config.fmt == "json":
-        _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", config.out)
-    else:
-        lines = [
-            f"# {key}={json.dumps(metadata[key], sort_keys=True)}"
-            for key in sorted(metadata)
-        ]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-        _write_text("\n".join(lines) + "\n", config.out)
+    _write_report({"metadata": metadata, "rows": rows}, config, columns, rows)
     return 0
 
 
@@ -730,7 +697,9 @@ def cmd_overlap(config: RunConfig, state_file_a: str, state_file_b: str) -> int:
     rho_a = states.state_from_payload(_load_json(state_file_a))
     rho_b = states.state_from_payload(_load_json(state_file_b))
     grid = _ggrid(config)
-    kgrid = _kgrid_for(max(rho_a.two_jmax, rho_b.two_jmax) + config.jsum_twice)
+    kgrid = grids.hemisphere_grid_for(
+        max(rho_a.two_jmax, rho_b.two_jmax) + config.jsum_twice
+    )
     coefficient = states.trace_product(rho_a, rho_b)
     value, increments = wigner.overlap_trace(
         rho_a, rho_b, config.jsum_twice, grid, kgrid
@@ -750,23 +719,14 @@ def cmd_overlap(config: RunConfig, state_file_a: str, state_file_b: str) -> int:
         "tolerance": float(tolerance),
         "passed": passed,
     }
-    if config.fmt == "json":
-        _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", config.out)
-    else:
-        lines = [
-            f"# {key}={json.dumps(metadata[key], sort_keys=True)}"
-            for key in sorted(metadata)
-        ]
-        lines.append("two_jsum,partial_sum,increment")
-        lines.extend(
-            f"{t},{_csv_cell(float(p))},{_csv_cell(float(i))}"
-            for t, (p, i) in enumerate(zip(partial, increments))
-        )
-        lines.append(
-            f"# coefficient_trace={coefficient!r} gap={gap!r} "
-            f"tolerance={tolerance!r} passed={'true' if passed else 'false'}"
-        )
-        _write_text("\n".join(lines) + "\n", config.out)
+    _write_report(
+        report,
+        config,
+        ["two_jsum", "partial_sum", "increment"],
+        zip(range(len(partial)), report["partial_sums"], report["increments"]),
+        f"# coefficient_trace={coefficient!r} gap={gap!r} "
+        f"tolerance={tolerance!r} passed={'true' if passed else 'false'}",
+    )
     return 0 if passed else 1
 
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import su2
-from .errors import GroupWignerError
+from .errors import DomainError, GroupWignerError
 
 __all__ = [
     "irrep_dim",
@@ -116,6 +116,8 @@ def little_d(two_j: int, two_m: int, two_mp: int, beta):
 
 def little_d_matrix(two_j: int, beta):
     """Full little-d matrix, shape ``(..., 2j+1, 2j+1)``, rows/cols ``m`` desc."""
+    if two_j < 0:
+        raise DomainError(f"two_j must be non-negative, got {two_j}")
     beta = np.asarray(beta, dtype=float)
     dim = irrep_dim(two_j)
     out = np.empty(beta.shape + (dim, dim), dtype=float)

@@ -301,7 +301,7 @@ class DensityEnsemble:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or len(w) != len(self.states) or len(w) == 0:
             raise ValueError("weights and states must be equal-length, non-empty")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("ensemble weights must be positive")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"ensemble weights must sum to 1, got {w.sum()!r}")
@@ -379,6 +379,11 @@ def _block_payload(state: BlockState) -> list:
     ]
 
 
+def _is_count(value) -> bool:
+    # JSON true/false parse to bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _blocks_from_payload(items, two_jmax: int) -> BlockState:
     if not isinstance(items, list):
         raise SchemaError("'blocks' must be a list")
@@ -387,12 +392,13 @@ def _blocks_from_payload(items, two_jmax: int) -> BlockState:
         if not isinstance(item, dict) or not {"two_j", "re", "im"} <= set(item):
             raise SchemaError("each block needs keys two_j, re, im")
         two_j = item["two_j"]
-        if not isinstance(two_j, int) or not 0 <= two_j <= two_jmax:
+        if not _is_count(two_j) or not 0 <= two_j <= two_jmax:
             raise SchemaError(f"block two_j={two_j!r} outside 0..{two_jmax}")
         try:
-            block = np.asarray(item["re"], dtype=float) + 1j * np.asarray(
-                item["im"], dtype=float
-            )
+            real, imag = (np.asarray(item[k], dtype=float) for k in ("re", "im"))
+            if not (np.all(np.isfinite(real)) and np.all(np.isfinite(imag))):
+                raise SchemaError(f"block two_j={two_j}: entries must be finite")
+            block = real + 1j * imag
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"block two_j={two_j}: {exc}") from None
         if block.shape != (two_j + 1, two_j + 1):
@@ -438,7 +444,7 @@ def state_from_payload(payload) -> DensityEnsemble:
     if payload.get("group") != "su2":
         raise SchemaError(f"unsupported group {payload.get('group')!r}")
     two_jmax = payload.get("jmax_twice")
-    if not isinstance(two_jmax, int) or two_jmax < 0:
+    if not _is_count(two_jmax) or two_jmax < 0:
         raise SchemaError("'jmax_twice' must be a non-negative integer")
     if "blocks" in payload:
         return pure_ensemble(_blocks_from_payload(payload["blocks"], two_jmax))

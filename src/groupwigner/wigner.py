@@ -130,29 +130,32 @@ def _pair_kernel(rho, gs: np.ndarray, dks: dict) -> np.ndarray:
     return c
 
 
+def _weighted_kernels(gs: np.ndarray, kgrid, *rhos):
+    """Yield ``(sl, [c[g, k] * w[k] for each rho])`` over chunks ``gs[sl]``,
+    with ``w`` the pushforward weights of ``kgrid``."""
+    dks = _dk_stacks(max(rho.two_jmax for rho in rhos), kgrid)
+    wj = kgrid.pushforward_weights
+    for lo in range(0, gs.shape[0], _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, gs.shape[0]))
+        yield sl, [_pair_kernel(rho, gs[sl], dks) * wj for rho in rhos]
+
+
 def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     """Distribution values at many points: shape ``(G, 2J+1, ..., 2J+1)``
     with block index order ``[M, N, M', N']``."""
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_j, kgrid)
     gs = np.asarray(gs, dtype=float)
-    dks = _dk_stacks(rho.two_jmax, kgrid)
-    dkj = dks.get(two_j, None)
-    if dkj is None:
-        dkj = irreps.dmatrix(two_j, kgrid.nodes)
     dim = two_j + 1
-    cdk = np.conj(dkj)
+    cdk = np.conj(irreps.dmatrix(two_j, kgrid.nodes))
     # pair_factor[k, (a, n, b, q)] collects the k-dependence of
     # D_{MN}(g k^{-1}) conj(D_{M'N'}(g k)) after splitting off D(g)
     pair_factor = np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(
         kgrid.n_nodes, dim**4
     )
-    wj = kgrid.pushforward_weights
     out = np.empty((gs.shape[0],) + (dim,) * 4, dtype=complex)
-    for lo in range(0, gs.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, gs.shape[0]))
-        c = _pair_kernel(rho, gs[sl], dks)
-        x = ((c * wj) @ pair_factor).reshape((-1,) + (dim,) * 4)
+    for sl, (a,) in _weighted_kernels(gs, kgrid, rho):
+        x = (a @ pair_factor).reshape((-1,) + (dim,) * 4)
         dgj = irreps.dmatrix(two_j, gs[sl])
         out[sl] = (two_j + 1.0) * np.einsum(
             "gma,ganbq,gpb->gmnpq", dgj, x, np.conj(dgj), optimize=True
@@ -169,16 +172,12 @@ def wigner_full(rho, g, two_j: int, kgrid) -> WignerBlock:
 
 def _y_kernels(rho, gs: np.ndarray, two_j: int, kgrid) -> np.ndarray:
     """Traced kernel ``Y(g)`` for each g, shape ``(G, 2J+1, 2J+1)``."""
-    dks = _dk_stacks(rho.two_jmax, kgrid)
     dk2 = irreps.dmatrix(two_j, kgrid.squared)
-    wj = kgrid.pushforward_weights
     out = np.empty((gs.shape[0], two_j + 1, two_j + 1), dtype=complex)
-    for lo in range(0, gs.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, gs.shape[0]))
-        c = _pair_kernel(rho, gs[sl], dks)
+    for sl, (a,) in _weighted_kernels(gs, kgrid, rho):
         # D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})
         out[sl] = (two_j + 1.0) * np.einsum(
-            "gk,kba->gab", c * wj, np.conj(dk2), optimize=True
+            "gk,kba->gab", a, np.conj(dk2), optimize=True
         )
     return out
 
@@ -247,6 +246,24 @@ def marginal_momentum(rho, two_j: int, ggrid, kgrid) -> np.ndarray:
     return np.einsum("g,gmnpq->mnpq", ggrid.weights, vals)
 
 
+def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
+    """Irrep-label increments ``inc[g, t] = (t+1) sum_k c[g, k] w[k]
+    chi^t(k^{-2} r)`` of the pair kernel at each ``g``, shape
+    ``(G, two_jsum + 1)``.
+
+    By ``tr Y(g; J) D^J(r) = N_J sum_k c w chi^J(k^{-2} r)`` this is the
+    label-sum term of both the position density (``r = e``) and the kernel
+    reconstruction (``g = s(g1, g2)``, ``r = g2^{-1} g1``).
+    """
+    twisted = su2.mul(su2.inverse(kgrid.squared), r)
+    chi = np.stack([irreps.character(t, twisted) for t in range(two_jsum + 1)])
+    prefac = np.arange(1, two_jsum + 2, dtype=float)
+    out = np.empty((gs.shape[0], two_jsum + 1), dtype=complex)
+    for sl, (a,) in _weighted_kernels(gs, kgrid, rho):
+        out[sl] = (a @ chi.T) * prefac
+    return out
+
+
 def marginal_position(rho, g, two_jsum: int, kgrid):
     """Irrep-label sum of traced blocks at position ``g``: partial sums of
 
@@ -255,29 +272,15 @@ def marginal_position(rho, g, two_jsum: int, kgrid):
     which converge to the position density ``<g| rho |g>``.  Returns
     ``(values, increments)`` where ``increments[..., t]`` is the ``2J = t``
     term and ``values = increments.sum(-1)``; both are real arrays shaped
-    like ``g`` without its last axis.
+    like ``g`` without its last axis.  This is the ``g1 = g2 = g`` diagonal
+    of :func:`reconstruct_kernel`, whose mid-point is ``g`` itself.
     """
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_jsum, kgrid)
     g = np.asarray(g, dtype=float)
     lead = g.shape[:-1]
     gs = g.reshape(-1, 4)
-    dks = _dk_stacks(rho.two_jmax, kgrid)
-    # characters of the squared nodes via the Chebyshev recurrence
-    x = kgrid.squared[..., 0]
-    chi = np.empty((two_jsum + 1, kgrid.n_nodes))
-    chi[0] = 1.0
-    if two_jsum >= 1:
-        chi[1] = 2.0 * x
-    for t in range(2, two_jsum + 1):
-        chi[t] = 2.0 * x * chi[t - 1] - chi[t - 2]
-    wj = kgrid.pushforward_weights
-    prefac = np.arange(1, two_jsum + 2, dtype=float)
-    increments = np.empty((gs.shape[0], two_jsum + 1))
-    for lo in range(0, gs.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, gs.shape[0]))
-        c = _pair_kernel(rho, gs[sl], dks)
-        increments[sl] = ((c * wj) @ chi.T).real * prefac
+    increments = _character_sums(rho, gs, su2.identity(), two_jsum, kgrid).real
     values = increments.sum(axis=-1)
     return values.reshape(lead), increments.reshape(lead + (two_jsum + 1,))
 
@@ -289,6 +292,11 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
 
     which converge to ``Tr(rho_1 rho_2)``.  Returns ``(value, increments)``
     with ``increments[t]`` the ``2J = t`` term (real).
+
+    The left values ``D^J(g) Y D^J(g)^dagger`` and the right values ``Y^T``
+    give one number inside the trace, because ``D^J(g)`` is unitary, so
+    both variants return the same computation; ``variant`` is still
+    validated and stays for compatibility.
     """
     rho1 = as_ensemble(rho1)
     rho2 = as_ensemble(rho2)
@@ -298,49 +306,19 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
         ggrid, rho1.two_jmax + rho2.two_jmax, "overlap group integral"
     )
     _require_kgrid(max(rho1.two_jmax, rho2.two_jmax), two_jsum, kgrid)
-    dks1 = _dk_stacks(rho1.two_jmax, kgrid)
-    dks2 = (
-        dks1
-        if rho2.two_jmax == rho1.two_jmax
-        else _dk_stacks(rho2.two_jmax, kgrid)
-    )
-    wj = kgrid.pushforward_weights
     # conj(D^J(k^2)) flattened row-major over (b, a): the products below come
-    # out in the transposed [g, b, a] layout, which is exactly the
-    # right-variant value array
+    # out in the transposed [g, b, a] layout of the right-variant values
     dk2_flat = [
         np.conj(irreps.dmatrix(t, kgrid.squared)).reshape(kgrid.n_nodes, -1)
         for t in range(two_jsum + 1)
     ]
-    gs = ggrid.nodes
     increments = np.zeros(two_jsum + 1)
-    for lo in range(0, gs.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, gs.shape[0]))
-        a1 = _pair_kernel(rho1, gs[sl], dks1) * wj
-        a2 = _pair_kernel(rho2, gs[sl], dks2) * wj
+    for sl, (a1, a2) in _weighted_kernels(ggrid.nodes, kgrid, rho1, rho2):
         wg = ggrid.weights[sl]
         for t in range(two_jsum + 1):
             d = t + 1
-            yt1 = (a1 @ dk2_flat[t]).reshape(-1, d, d)
-            yt2 = (a2 @ dk2_flat[t]).reshape(-1, d, d)
-            if variant == "left":
-                dg = irreps.dmatrix(t, gs[sl])
-                v1 = np.einsum(
-                    "gma,gab,gnb->gmn",
-                    dg,
-                    yt1.transpose(0, 2, 1),
-                    np.conj(dg),
-                    optimize=True,
-                )
-                v2 = np.einsum(
-                    "gma,gab,gnb->gmn",
-                    dg,
-                    yt2.transpose(0, 2, 1),
-                    np.conj(dg),
-                    optimize=True,
-                )
-            else:
-                v1, v2 = yt1, yt2
+            v1 = (a1 @ dk2_flat[t]).reshape(-1, d, d)
+            v2 = (a2 @ dk2_flat[t]).reshape(-1, d, d)
             term = np.einsum("g,gab,gba->", wg, v1, v2, optimize=True)
             increments[t] += (t + 1.0) * term.real
     return float(increments.sum()), increments
@@ -353,28 +331,23 @@ def reconstruct_kernel(rho, g1, g2, two_jsum: int, kgrid, variant: str = "left")
         left:  sum_{M M'} tilde-W(s; J M M') D^J_{M' M}(g1 g2^{-1})
         right: sum_{N N'} tilde-tilde-W(s; J N N') D^J_{N N'}(g2^{-1} g1)
 
+    Both are ``tr Y(s; J) D^J(g2^{-1} g1)`` — the left form conjugates by
+    the unitary ``D^J(s)``, and ``s^{-1} g1 g2^{-1} s = g2^{-1} g1`` — so
+    both variants return one value, from a single pair-kernel evaluation at
+    ``s``; ``variant`` is still validated and stays for compatibility.
+
     Returns ``(value, increments)``; raises
     :class:`~groupwigner.errors.AntipodalPair` when the mid-point is undefined.
     """
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_jsum, kgrid)
+    if variant not in ("left", "right"):
+        raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     s = su2.midpoint(g1, g2)
-    if variant == "left":
-        rel = su2.mul(g1, su2.inverse(g2))
-    elif variant == "right":
-        rel = su2.mul(su2.inverse(g2), g1)
-    else:
-        raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    increments = np.empty(two_jsum + 1, dtype=complex)
-    for two_j in range(two_jsum + 1):
-        tilde = wigner_tilde(rho, s, two_j, kgrid, variant).values
-        d = irreps.dmatrix(two_j, rel)
-        if variant == "left":
-            increments[two_j] = np.einsum("mp,pm->", tilde, d)
-        else:
-            increments[two_j] = np.einsum("nq,nq->", tilde, d)
+    rel = su2.mul(su2.inverse(g2), g1)
+    increments = _character_sums(rho, s[None, :], rel, two_jsum, kgrid)[0]
     return complex(increments.sum()), increments
 
 

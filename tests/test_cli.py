@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from groupwigner import cli
+from groupwigner import cli, grids, states, su2, wigner
 
 SU2_FAST = ["--grid", "10x5x20", "--jmax", "1", "--jsum", "4"]
 
@@ -295,6 +295,74 @@ def test_wigner_schema_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "group,nodes_text",
+    [
+        ("su2", '{"euler": [[NaN, 0.2, 0.3]]}'),
+        ("su2", '{"euler": [[0.1, Infinity, 0.3]]}'),
+        ("so2", '{"theta": [0.0, NaN], "m": [0, 1]}'),
+        ("cartesian", '{"q": [0.0], "p": [-Infinity, 0.5]}'),
+    ],
+    ids=["su2-nan", "su2-inf", "so2-nan", "cartesian-inf"],
+)
+def test_wigner_non_finite_nodes_exit_2(tmp_path, capsys, group, nodes_text):
+    q = np.arange(-64, 64) / 8.0
+    payloads = {
+        "su2": uniform_state_payload(),
+        "so2": {"group": "so2", "m_min": 0, "re": [1.0], "im": [0.0]},
+        "cartesian": {
+            "group": "cartesian",
+            "half_width": 8.0,
+            "periodic": False,
+            "re": (np.pi**-0.25 * np.exp(-(q**2) / 2.0)).tolist(),
+            "im": [0.0] * q.size,
+        },
+    }
+    state = write_json(tmp_path / "state.json", payloads[group])
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(nodes_text, encoding="utf-8")
+    code, out, err = run_cli(["wigner", "--group", group, state, str(nodes)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def _csv_rows(out):
+    lines = [ln for ln in out.strip().splitlines() if not ln.startswith("# ")]
+    assert lines[0] == "alpha,beta,gamma,two_j,two_m,two_n,two_mp,two_np,re,im"
+    return [
+        [float(x) for x in ln.split(",")[:3]]
+        + [int(x) for x in ln.split(",")[3:8]]
+        + [float(x) for x in ln.split(",")[8:]]
+        for ln in lines[1:]
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_wigner_su2_rows_match_full_batch(tmp_path, capsys, fmt):
+    rho = states.random_state(np.random.default_rng(31), 2)
+    state = tmp_path / "state.json"
+    states.save_state(rho, state)
+    euler = [[0.3, 0.7, 1.1], [2.0, 2.5, 4.0]]
+    nodes = write_json(tmp_path / "g.json", {"euler": euler})
+    code, out, _ = run_cli(
+        ["wigner", "--jsum", "2", "--format", fmt, str(state), nodes], capsys
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"] if fmt == "json" else _csv_rows(out)
+    assert len(rows) == 2 * (1 + 16 + 81)
+    gs = su2.from_euler(*np.array(euler).T)
+    kgrid = grids.hemisphere_grid_for(2 + 2)
+    blocks = [wigner.wigner_full_batch(rho, gs, t, kgrid) for t in range(3)]
+    seen = set()
+    for alpha, beta, gamma, two_j, two_m, two_n, two_mp, two_np, re, im in rows:
+        node = euler.index([alpha, beta, gamma])
+        idx = tuple((two_j - t) // 2 for t in (two_m, two_n, two_mp, two_np))
+        assert abs(complex(re, im) - blocks[two_j][(node,) + idx]) <= 1e-12
+        seen.add((node, two_j) + idx)
+    assert len(seen) == len(rows)
+
+
 # ---------------------------------------------------------------------------
 # overlap
 
@@ -370,3 +438,13 @@ def test_overlap_csv_format(tmp_path, capsys):
     header = next(ln for ln in lines if not ln.startswith("# "))
     assert header == "two_jsum,partial_sum,increment"
     assert lines[-1].startswith("# coefficient_trace=")
+    rows = lines[lines.index(header) + 1 : -1]
+    _, out_json, _ = run_cli(
+        ["overlap", "--grid", "8x4x16", "--jsum", "2", "--format", "json", a, a],
+        capsys,
+    )
+    report = json.loads(out_json)
+    assert rows == [
+        f"{t},{p!r},{i!r}"
+        for t, (p, i) in enumerate(zip(report["partial_sums"], report["increments"]))
+    ]

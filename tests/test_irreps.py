@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from scipy.special import eval_jacobi
 
 from groupwigner import irreps, su2
-from groupwigner.errors import GroupWignerError
+from groupwigner.errors import DomainError, GroupWignerError
 
 RNG_SEED = 20240812
 
@@ -98,6 +98,14 @@ def test_little_d_symmetries_and_index_errors():
         irreps.little_d(2, 3, 0, 0.5)
     with pytest.raises(IndexError):
         irreps.little_d(2, 1, 0, 0.5)
+
+
+@pytest.mark.parametrize("two_j", [-1, -2])
+def test_negative_two_j_raises_domain_error(two_j):
+    with pytest.raises(DomainError):
+        irreps.dmatrix(two_j, su2.identity())
+    with pytest.raises(DomainError):
+        irreps.little_d_matrix(two_j, 0.5)
 
 
 def test_dmatrix_half_equals_defining_matrix():

@@ -239,6 +239,8 @@ def test_density_ensemble_validation():
         states.DensityEnsemble((1.0, -0.0), (s, s))
     with pytest.raises(ValueError):
         states.DensityEnsemble((1.0,), ())
+    with pytest.raises(ValueError):
+        states.DensityEnsemble((float("nan"), 1.0), (s, s))
     rho = states.DensityEnsemble((0.25, 0.75), (s, states.basis_state(1, 1, 1)))
     assert rho.two_jmax == 1
 
@@ -357,6 +359,33 @@ def test_payload_round_trip_ensemble():
         },
         {"group": "su2", "jmax_twice": 0, "weights": [1.0], "components": [{}]},
         {"group": "su2", "jmax_twice": 0, "weights": [0.7], "components": []},
+        {"group": "su2", "jmax_twice": True, "blocks": []},
+        {
+            "group": "su2",
+            "jmax_twice": 1,
+            "blocks": [
+                {"two_j": True, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0]] * 2}
+            ],
+        },
+        {
+            "group": "su2",
+            "jmax_twice": 0,
+            "blocks": [{"two_j": 0, "re": [[float("nan")]], "im": [[0.0]]}],
+        },
+        {
+            "group": "su2",
+            "jmax_twice": 0,
+            "blocks": [{"two_j": 0, "re": [[1.0]], "im": [[float("inf")]]}],
+        },
+        {
+            "group": "su2",
+            "jmax_twice": 0,
+            "weights": [float("nan"), 1.0],
+            "components": [
+                {"blocks": [{"two_j": 0, "re": [[1.0]], "im": [[0.0]]}]},
+                {"blocks": [{"two_j": 0, "re": [[1.0]], "im": [[0.0]]}]},
+            ],
+        },
     ],
 )
 def test_payload_schema_errors(payload):

@@ -178,6 +178,21 @@ def test_overlap_matches_trace_for_low_band_pairs():
     assert_allclose(inc_ab.sum(), val_ab, atol=1e-13)
 
 
+def test_overlap_matches_left_variant_reference():
+    # the left-variant formula the functional used to evaluate: conjugated
+    # traced blocks, integrated over the Haar grid, one term per label
+    a = _random_pure(21, 2)
+    b = _random_ensemble(23, 1)
+    gg = grids.haar_grid_for_degree(2)
+    kg = _kgrid(2, 4)
+    _, inc = wigner.overlap_trace(a, b, 4, gg, kg)
+    for two_j in range(5):
+        w1 = wigner.wigner_tilde_batch(a, gg.nodes, two_j, kg, "left")
+        w2 = wigner.wigner_tilde_batch(b, gg.nodes, two_j, kg, "left")
+        ref = np.einsum("g,gab,gba->", gg.weights, w1, w2).real / (two_j + 1.0)
+        assert abs(inc[two_j] - ref) < 1e-12
+
+
 def test_overlap_converges_to_coefficient_trace():
     a = _random_pure(5, 2)
     b = _random_pure(6, 2)
@@ -209,6 +224,23 @@ def test_reconstruction_variants_agree():
     assert_allclose(il.sum(), vl, atol=1e-13)
     with pytest.raises(ValueError):
         wigner.reconstruct_kernel(s, g1, g2, 2, kg, "middle")
+
+
+def test_reconstruction_matches_left_variant_reference():
+    # the left-variant formula evaluated directly from traced blocks at the
+    # mid-point: tr( tilde-W(s; J) D^J(g1 g2^{-1}) ) per label
+    rho = _random_ensemble(9, 2)
+    g1 = su2.from_euler(1.1, 0.6, -0.4)
+    g2 = su2.from_euler(0.2, 1.4, 0.9)
+    kg = _kgrid(2, 6)
+    s = su2.midpoint(g1, g2)
+    rel = su2.mul(g1, su2.inverse(g2))
+    for variant in ("left", "right"):
+        _, inc = wigner.reconstruct_kernel(rho, g1, g2, 6, kg, variant)
+        for two_j in range(7):
+            tilde = wigner.wigner_tilde(rho, s, two_j, kg, "left").values
+            ref = np.trace(tilde @ irreps.dmatrix(two_j, rel))
+            assert abs(inc[two_j] - ref) < 1e-12
 
 
 def test_reconstruction_converges_for_localized_state():
