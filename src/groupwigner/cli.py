@@ -26,9 +26,10 @@ the output metadata so a run can be reproduced bit-identically.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -141,30 +142,97 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # output plumbing
 
 
-def _write_report(report: dict, config: RunConfig, columns, rows, footer=None) -> None:
+def _write_report(report, config, columns, rows=(), footer=None, table=None) -> None:
     """Write ``report`` to ``config.out`` (stdout when unset).
 
-    JSON is the whole report, streamed to the file.  CSV is the metadata as
-    ``# key=value`` comment lines, the ``columns`` header, one line per entry
-    of ``rows`` and, when given, a closing ``footer`` comment line.
+    JSON is the whole report, with the bytes of ``json.dump(report,
+    sort_keys=True, indent=2)``.  CSV is the metadata as ``# key=value``
+    comment lines, the ``columns`` header, one line per entry of ``rows``
+    and, when given, a closing ``footer`` comment line.
+
+    ``table``, when given, is streamed as the report's ``"rows"`` (in CSV,
+    as the lines after the header), in the bytes the whole report would
+    have: see :func:`_write_table`.  A report that fails while it is written
+    to a file leaves no partial file behind.
     """
     if config.out is None:
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        target = open(config.out, "w", encoding="utf-8")
-    with target as fh:
-        if config.fmt == "json":
+        _write_body(sys.stdout, report, config.fmt, columns, rows, footer, table)
+        return
+    with open(config.out, "w", encoding="utf-8") as fh:
+        try:
+            _write_body(fh, report, config.fmt, columns, rows, footer, table)
+        except BaseException:
+            fh.close()
+            # a device such as /dev/null is not ours to remove
+            if os.path.isfile(config.out):
+                os.remove(config.out)
+            raise
+
+
+def _write_body(fh, report, fmt, columns, rows, footer, table) -> None:
+    if fmt == "json":
+        if table is None:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
             return
-        meta = report["metadata"]
-        for key in sorted(meta):
-            fh.write(f"# {key}={json.dumps(meta[key], sort_keys=True)}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_cell, row)) + "\n")
-        if footer is not None:
-            fh.write(footer + "\n")
+        # only the report's own keys sit at indent 2, so the split is unique
+        head, _, tail = json.dumps(
+            dict(report, rows=[]), sort_keys=True, indent=2
+        ).partition('\n  "rows": []')
+        fh.write(head + '\n  "rows": [')
+        wrote = _write_table(fh, table, _JSON_ROW)
+        fh.write(("\n  ]" if wrote else "]") + tail + "\n")
+        return
+    meta = report["metadata"]
+    for key in sorted(meta):
+        fh.write(f"# {key}={json.dumps(meta[key], sort_keys=True)}\n")
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(map(_csv_cell, row)) + "\n")
+    if table is not None:
+        _write_table(fh, table, _CSV_ROW)
+    if footer is not None:
+        fh.write(footer + "\n")
+
+
+# (row prefix, cell separator, row suffix, row separator) of a table row in
+# ``json.dump(..., indent=2)`` at list depth 2, and in CSV
+_JSON_ROW = ("\n    [\n      ", ",\n      ", "\n    ]", ",")
+_CSV_ROW = ("", ",", "\n", "")
+
+
+def _write_table(fh, table, style) -> bool:
+    """Write the rows of ``table`` in ``style``; return whether there were any.
+
+    ``table`` yields product chunks ``(outer, inner, values)``: the rows
+    ``[*outer[i], *inner[k], values[i, k].real, values[i, k].imag]`` in
+    row-major order over ``(i, k)``.  The cells of ``outer`` and ``inner``
+    are Python ints and floats, formatted once per entry; only the two value
+    cells are formatted per row.  JSON and CSV both write ints and finite
+    floats with ``repr``, so a non-finite value, which JSON would write as
+    ``NaN`` and CSV as ``nan``, raises instead.
+    """
+    prefix, sep, suffix, between = style
+    wrote = False
+    mids = inner_seen = None
+    for outer, inner, values in table:
+        if not np.all(np.isfinite(values)):
+            raise GroupWignerError(
+                "the wigner table holds a non-finite value (NaN or inf)"
+            )
+        if inner is not inner_seen:
+            mids = [sep.join(map(repr, cells)) + sep for cells in inner]
+            inner_seen = inner
+        for cells, vals in zip(outer, values):
+            head = prefix + sep.join(map(repr, cells)) + sep
+            batch = between.join([
+                f"{head}{mid}{re!r}{sep}{im!r}{suffix}"
+                for mid, re, im in zip(mids, vals.real.tolist(), vals.imag.tolist())
+            ])
+            if batch:
+                fh.write(between + batch if wrote else batch)
+                wrote = True
+    return wrote
 
 
 def _csv_cell(value) -> str:
@@ -602,20 +670,14 @@ def _nodes_array(payload, key, dtype=float):
     return arr
 
 
-def _block_columns(two_j: int, vals: np.ndarray):
-    """Flat columns (node index, two_j, two_m, two_n, two_mp, two_np, value)
-    of the blocks ``vals[node, M, N, M', N']``, in row-major order."""
-    node, *idx = (i.ravel() for i in np.indices(vals.shape))
-    labels = irreps.two_m_values(two_j)
-    return (node, np.full(node.size, two_j), *(labels[i] for i in idx), vals.ravel())
-
-
 def _su2_table(config, state_file, nodes_file):
     rho = states.state_from_payload(_load_json(state_file))
     if nodes_file is None:
         euler = grids.haar_grid(*config.grid_shape, verify=False).euler
     else:
         euler = _nodes_array(_load_json(nodes_file), "euler")
+        if euler.size == 0:
+            euler = euler.reshape(0, 3)
         if euler.ndim != 2 or euler.shape[1] != 3:
             raise SchemaError("'euler' must be a list of [alpha, beta, gamma] rows")
     gs = su2.from_euler(euler[:, 0], euler[:, 1], euler[:, 2])
@@ -623,14 +685,18 @@ def _su2_table(config, state_file, nodes_file):
     kgrid = grids.hemisphere_grid_for(rho.two_jmax + config.jsum_twice)
     columns = ["alpha", "beta", "gamma", "two_j", "two_m", "two_n", "two_mp",
                "two_np", "re", "im"]
-    blocks = [
-        _block_columns(two_j, wigner.wigner_full_batch(rho, gs, two_j, kgrid))
-        for two_j in j_list
-    ]
-    node, two_js, m, n, mp, nq, w = (np.concatenate(c) for c in zip(*blocks))
-    cells = (*euler[node].T, two_js, m, n, mp, nq, w.real, w.imag)
-    rows = list(zip(*(c.tolist() for c in cells)))
-    return rows, columns, {"j_list_twice": j_list}
+
+    def chunks():
+        # rows run over two_j, then nodes, then the block entries [M, N, M', N']
+        for two_j in j_list:
+            labels = irreps.two_m_values(two_j).tolist()
+            entries = [(two_j, *e) for e in itertools.product(labels, repeat=4)]
+            for lo in range(0, gs.shape[0], wigner._CHUNK):
+                sl = slice(lo, lo + wigner._CHUNK)
+                vals = wigner.wigner_full_batch(rho, gs[sl], two_j, kgrid)
+                yield euler[sl].tolist(), entries, vals.reshape(len(vals), -1)
+
+    return chunks(), columns, {"j_list_twice": j_list}
 
 
 def _so2_table(config, state_file, nodes_file):
@@ -644,12 +710,8 @@ def _so2_table(config, state_file, nodes_file):
         thetas = _nodes_array(payload, "theta")
         ms = _nodes_array(payload, "m", dtype=int)
     table = baselines.angle_wigner_table(state, thetas, ms)
-    rows = [
-        [float(theta), int(m), float(table[i, j]), 0.0]
-        for i, theta in enumerate(thetas)
-        for j, m in enumerate(ms)
-    ]
-    return rows, ["theta", "m", "re", "im"], {"m_list": [int(m) for m in ms]}
+    chunk = ([[t] for t in thetas.tolist()], [[m] for m in ms.tolist()], table)
+    return [chunk], ["theta", "m", "re", "im"], {"m_list": ms.tolist()}
 
 
 def _cartesian_table(config, state_file, nodes_file):
@@ -661,28 +723,26 @@ def _cartesian_table(config, state_file, nodes_file):
         payload = _load_json(nodes_file)
         qs = _nodes_array(payload, "q")
         ps = _nodes_array(payload, "p")
-    rows = []
-    for q in qs:
-        w = baselines.cartesian_wigner(state, float(q), ps)
-        rows.extend(
-            [float(q), float(p), float(wv), 0.0] for p, wv in zip(ps, w)
-        )
-    return rows, ["q", "p", "re", "im"], {}
+    table = np.array(
+        [baselines.cartesian_wigner(state, q, ps) for q in qs.tolist()]
+    ).reshape(qs.size, ps.size)
+    chunk = ([[q] for q in qs.tolist()], [[p] for p in ps.tolist()], table)
+    return [chunk], ["q", "p", "re", "im"], {}
 
 
 def cmd_wigner(config: RunConfig, state_file: str, nodes_file=None) -> int:
-    """Evaluate the Wigner table for a state file and emit it."""
+    """Evaluate the Wigner table for a state file and stream it out."""
     builder = {
         "su2": _su2_table,
         "so2": _so2_table,
         "cartesian": _cartesian_table,
     }[config.group]
-    rows, columns, extra = builder(config, state_file, nodes_file)
+    table, columns, extra = builder(config, state_file, nodes_file)
     metadata = _base_metadata("wigner", config)
     metadata["jsum_twice"] = config.jsum_twice
     metadata["columns"] = columns
     metadata.update(extra)
-    _write_report({"metadata": metadata, "rows": rows}, config, columns, rows)
+    _write_report({"metadata": metadata}, config, columns, table=table)
     return 0
 
 

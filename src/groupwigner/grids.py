@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from . import irreps, su2
 from .errors import AntipodalNode, InvalidGrid
@@ -175,25 +174,18 @@ def _axial_rule(n_axial: int) -> tuple[np.ndarray, np.ndarray]:
     The weights solve the square moment system in the shifted-Chebyshev
     basis T_n(2t - 1) at the nodes ``2t_r - 1 = cos((r + 1/2) pi / n)``,
     where the system matrix is the perfectly conditioned DCT matrix
-    ``cos(n * v_r)``; the exact Chebyshev moments are computed by adaptive
-    quadrature of a smooth integrand.
+    ``cos(n * v_r)``.  With ``2t - 1 = cos(u)`` the exact Chebyshev moments
+    are ``int_0^pi cos(n u) f(u) du`` for ``f(u) = sin(u) sqrt(1 - t^2) / 2
+    = sin(u) sin(u/2) sqrt(2 (3 + cos u)) / 4``, analytic on [0, pi], so
+    Gauss-Legendre with ``n_axial + 40`` nodes gives them to rounding.
     """
     v = (np.arange(n_axial) + 0.5) * np.pi / n_axial
     t = (1.0 + np.cos(v)) / 2.0
     a = np.cos(np.outer(np.arange(n_axial), v))
-    b = np.empty(n_axial)
-    for n in range(n_axial):
-        b[n] = quad(
-            lambda u, n=n: 0.25
-            * np.cos(n * u)
-            * np.sin(u)
-            * np.sqrt((1.0 - np.cos(u)) * (3.0 + np.cos(u))),
-            0.0,
-            np.pi,
-            epsabs=1e-14,
-            epsrel=1e-13,
-            limit=200,
-        )[0]
+    x, wx = leggauss(n_axial + 40)
+    u = 0.5 * np.pi * (x + 1.0)
+    f = np.sin(u) * np.sin(0.5 * u) * np.sqrt(2.0 * (3.0 + np.cos(u))) / 4.0
+    b = np.cos(np.outer(np.arange(n_axial), u)) @ (0.5 * np.pi * wx * f)
     w = np.linalg.solve(a, b)
     return t, w
 

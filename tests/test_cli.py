@@ -22,6 +22,15 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_dump_bytes(out):
+    # the streamed table writer must emit exactly what json.dump would; the
+    # report names the first differing byte instead of diffing whole tables
+    want = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    same = out == want
+    at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), len(want))
+    assert same, f"differs from json.dump at byte {at}: {out[at - 40 : at + 40]!r}"
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
@@ -218,6 +227,7 @@ def test_wigner_so2_pure_mode_table(tmp_path, capsys):
         ["wigner", "--group", "so2", state, nodes], capsys
     )
     assert code == 0
+    assert_dump_bytes(out)
     report = json.loads(out)
     assert report["metadata"]["columns"] == ["theta", "m", "re", "im"]
     for theta, m, re, im in report["rows"]:
@@ -244,6 +254,7 @@ def test_wigner_cartesian_nodes(tmp_path, capsys):
     nodes = write_json(tmp_path / "qp.json", {"q": [0.0], "p": [0.0, 0.5]})
     code, out, _ = run_cli(["wigner", "--group", "cartesian", state, nodes], capsys)
     assert code == 0
+    assert_dump_bytes(out)
     report = json.loads(out)
     for q_val, p_val, re, im in report["rows"]:
         assert_allclose(re, np.exp(-(q_val**2) - p_val**2) / np.pi, atol=1e-8)
@@ -280,6 +291,68 @@ def test_wigner_su2_zero_rows_for_zero_block(tmp_path, capsys):
     assert len(report["rows"]) == 1 + 16 + 81
     vals = np.array([row[8:] for row in report["rows"]])
     assert np.max(np.abs(vals)) < 1e-12
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_wigner_su2_zero_nodes_zero_rows(tmp_path, capsys, fmt):
+    state = write_json(tmp_path / "uniform.json", uniform_state_payload())
+    nodes = write_json(tmp_path / "g.json", {"euler": []})
+    code, out, _ = run_cli(["wigner", "--format", fmt, state, nodes], capsys)
+    assert code == 0
+    if fmt == "json":
+        assert_dump_bytes(out)
+        assert json.loads(out)["rows"] == []
+    else:
+        assert _csv_rows(out) == []
+
+
+def test_wigner_non_finite_values_exit_2_without_output(tmp_path, capsys, monkeypatch):
+    # json.dump would write NaN and repr nan; the export must refuse both
+    def nan_blocks(rho, gs, two_j, kgrid):
+        return np.full((gs.shape[0],) + (two_j + 1,) * 4, np.nan, dtype=complex)
+
+    monkeypatch.setattr(wigner, "wigner_full_batch", nan_blocks)
+    state = write_json(tmp_path / "uniform.json", uniform_state_payload())
+    nodes = write_json(tmp_path / "g.json", {"euler": [[0.3, 0.7, 1.1]]})
+    for fmt in ("json", "csv"):
+        out_path = tmp_path / f"table.{fmt}"
+        code, out, err = run_cli(
+            ["wigner", "--jsum", "1", "--format", fmt, "--out", str(out_path),
+             state, nodes],
+            capsys,
+        )
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+        assert not out_path.exists()
+
+
+def test_wigner_su2_export_calls_stay_within_chunk(tmp_path, capsys, monkeypatch):
+    # memory is bounded by the chunk: no evaluation sees more than _CHUNK nodes
+    seen = []
+    full_batch = wigner.wigner_full_batch
+
+    def recording(rho, gs, two_j, kgrid):
+        seen.append((two_j, gs.shape[0]))
+        return full_batch(rho, gs, two_j, kgrid)
+
+    monkeypatch.setattr(wigner, "wigner_full_batch", recording)
+    n_nodes = wigner._CHUNK + 7
+    euler = np.random.default_rng(3).uniform(0.0, 3.0, (n_nodes, 3))
+    state = write_json(tmp_path / "uniform.json", uniform_state_payload())
+    nodes = write_json(tmp_path / "g.json", {"euler": euler.tolist()})
+    out_path = tmp_path / "table.csv"
+    code, _, _ = run_cli(
+        ["wigner", "--jsum", "1", "--format", "csv", "--out", str(out_path),
+         state, nodes],
+        capsys,
+    )
+    assert code == 0
+    assert max(n for _, n in seen) <= wigner._CHUNK
+    for two_j in (0, 1):
+        assert sum(n for t, n in seen if t == two_j) == n_nodes
+    rows = _csv_rows(out_path.read_text(encoding="utf-8"))
+    assert len(rows) == n_nodes * (1 + 16)
 
 
 def test_wigner_schema_errors_exit_2(tmp_path, capsys):
@@ -349,6 +422,8 @@ def test_wigner_su2_rows_match_full_batch(tmp_path, capsys, fmt):
         ["wigner", "--jsum", "2", "--format", fmt, str(state), nodes], capsys
     )
     assert code == 0
+    if fmt == "json":
+        assert_dump_bytes(out)
     rows = json.loads(out)["rows"] if fmt == "json" else _csv_rows(out)
     assert len(rows) == 2 * (1 + 16 + 81)
     gs = su2.from_euler(*np.array(euler).T)

@@ -2,12 +2,19 @@
 Tests for the Haar and hemisphere quadrature grids.  Expected values come
 from closed-form moments of the measures involved (Beta-function integrals
 for the axial rule, representation-orthogonality integrals for the group
-rules) and from structural invariants such as inversion closure.
+rules), from adaptive quadrature of the axial Chebyshev moments, and from
+structural invariants such as inversion closure.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from groupwigner import grids, irreps, su2
 from groupwigner.errors import InvalidGrid
@@ -81,6 +88,43 @@ AXIAL_MOMENTS = [
 def test_axial_rule_moments(k, moment):
     t, w = _axial_rule(8)
     assert_allclose(np.sum(w * t**k), moment, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_axial", [1, 2, 8, 43, 163])
+def test_axial_rule_chebyshev_moments_match_adaptive_quadrature(n_axial):
+    # reference: the shifted-Chebyshev moments int_0^1 T_n(2t - 1)
+    # sqrt(1 - t^2) dt by adaptive quadrature, with 2t - 1 = cos(u)
+    t, w = _axial_rule(n_axial)
+    ref = [
+        quad(
+            lambda u, n=n: 0.25
+            * np.cos(n * u)
+            * np.sin(u)
+            * np.sqrt((1.0 - np.cos(u)) * (3.0 + np.cos(u))),
+            0.0,
+            np.pi,
+            epsabs=1e-14,
+            epsrel=1e-13,
+            limit=200,
+        )[0]
+        for n in range(n_axial)
+    ]
+    moments = np.cos(np.outer(np.arange(n_axial), np.arccos(2.0 * t - 1.0))) @ w
+    assert np.max(np.abs(moments - ref)) <= 1e-14
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is needed only by the brute-force oracle, which imports it lazily
+    code = "import sys, groupwigner.cli; print('scipy' in sys.modules)"
+    src = str(Path(grids.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_hemisphere_grid_structure():
