@@ -158,7 +158,11 @@ def _write_report(report, config, columns, rows=(), footer=None, table=None) -> 
     if config.out is None:
         _write_body(sys.stdout, report, config.fmt, columns, rows, footer, table)
         return
-    with open(config.out, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(config.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from None
+    with fh:
         try:
             _write_body(fh, report, config.fmt, columns, rows, footer, table)
         except BaseException:
@@ -282,10 +286,7 @@ def _check_orthogonality(config, rng):
             f"{grid.exactness_degree}; orthogonality up to two_j="
             f"{config.jmax_twice} needs degree {config.jmax_twice}/2"
         )
-    defect = grids._gram_defect(
-        (irreps.dmatrix(two_j, grid.nodes) for two_j in range(config.jmax_twice + 1)),
-        grid.weights,
-    )
+    defect = grids._gram_defect(grid.nodes, grid.weights, config.jmax_twice)
     return {"name": "orthogonality", "error": defect, "tolerance": 1e-10}
 
 

@@ -86,36 +86,27 @@ def _haar_exactness_degree(n_alpha: int, n_beta: int, n_gamma: int) -> int:
     return max((quartered - 4) // 4, 0)
 
 
-def _gram_defect(dstacks, weights) -> float:
+def _gram_defect(nodes, weights, two_jmax: int) -> float:
     """Max deviation from the identity of the weighted Gram matrix of the
-    columns ``sqrt(N_J) D^J_{MN}``.  ``dstacks`` yields each ``D^J`` over the
-    nodes, in any leading shape that flattens to the node order of
-    ``weights``; pass a generator so that only the scaled columns are held."""
+    columns ``sqrt(N_J) D^J_{MN}`` over ``nodes``, ``two_j <= two_jmax``."""
     n = len(weights)
     f = np.concatenate(
-        [np.sqrt(d.shape[-1]) * d.reshape(n, -1) for d in dstacks], axis=1
+        [np.sqrt(t + 1.0) * irreps.dmatrix(t, nodes).reshape(n, -1)
+         for t in range(two_jmax + 1)],
+        axis=1,
     )
-    gram = (f.conj().T * weights) @ f
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    # one weighted copy of f, not two: the Gram product sets the peak memory
+    fw = np.conj(f)
+    fw *= weights[:, None]
+    gram = fw.T @ f
+    gram.flat[:: len(gram) + 1] -= 1.0
+    return float(np.max(np.abs(gram)))
 
 
 def _verify_haar(grid: QuadratureGrid, tol: float = 1e-10) -> None:
     """Check the full Gram matrix of sqrt(N_J) D^J_{MN} columns for all
     two_j <= 2 * exactness_degree against the identity."""
-    two_b = 2 * grid.exactness_degree
-    n_alpha, n_beta, n_gamma = grid.shape
-    alphas = grid.euler[: n_beta * n_gamma * n_alpha : n_beta * n_gamma, 0]
-    betas = grid.euler[: n_beta * n_gamma : n_gamma, 1]
-    gammas = grid.euler[:n_gamma, 2]
-
-    def dstack(two_j):
-        d = irreps.little_d_matrix(two_j, betas)          # (nb, N, N)
-        half_m = irreps.two_m_values(two_j) / 2.0
-        pa = np.exp(-1j * np.outer(alphas, half_m))        # (na, N)
-        pg = np.exp(-1j * np.outer(gammas, half_m))        # (ng, N)
-        return np.einsum("am,bmp,gp->abgmp", pa, d, pg)
-
-    defect = _gram_defect((dstack(t) for t in range(two_b + 1)), grid.weights)
+    defect = _gram_defect(grid.nodes, grid.weights, 2 * grid.exactness_degree)
     if defect > tol:
         raise InvalidGrid(
             f"haar grid {grid.shape} failed its exactness validation at "

@@ -97,10 +97,6 @@ def _require_ggrid(grid, band: int, what: str) -> None:
         )
 
 
-def _dk_stacks(two_jmax: int, kgrid) -> dict:
-    return {t: irreps.dmatrix(t, kgrid.nodes) for t in range(two_jmax + 1)}
-
-
 def _pair_values(state, gs: np.ndarray, dks: dict):
     """``psi(g k)`` and ``psi(g k^{-1})`` as ``(G, K)`` arrays."""
     n_g = gs.shape[0]
@@ -133,7 +129,8 @@ def _pair_kernel(rho, gs: np.ndarray, dks: dict) -> np.ndarray:
 def _weighted_kernels(gs: np.ndarray, kgrid, *rhos):
     """Yield ``(sl, [c[g, k] * w[k] for each rho])`` over chunks ``gs[sl]``,
     with ``w`` the pushforward weights of ``kgrid``."""
-    dks = _dk_stacks(max(rho.two_jmax for rho in rhos), kgrid)
+    two_jmax = max(rho.two_jmax for rho in rhos)
+    dks = {t: irreps.dmatrix(t, kgrid.nodes) for t in range(two_jmax + 1)}
     wj = kgrid.pushforward_weights
     for lo in range(0, gs.shape[0], _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, gs.shape[0]))

@@ -171,6 +171,20 @@ def test_verify_out_file(tmp_path, capsys):
     assert report["metadata"]["config"]["out"] == str(out_path)
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # a missing parent directory, or a directory as the file
+    out_path = tmp_path / target
+    code, out, err = run_cli(
+        ["verify", "--group", "so2", "--out", str(out_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_config_file_with_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

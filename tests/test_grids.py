@@ -6,6 +6,7 @@ rules), from adaptive quadrature of the axial Chebyshev moments, and from
 structural invariants such as inversion closure.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -182,6 +183,24 @@ def test_hemisphere_grid_rejects_bad_shapes():
         grids.hemisphere_grid(0, 4, 8)
     with pytest.raises(InvalidGrid):
         grids.hemisphere_grid(7, 4, 7)  # odd n_phi breaks inversion closure
+
+
+def test_verify_haar_rejects_overclaimed_degree():
+    # exact to degree 3 only: the degree-4 Gram columns are not orthonormal
+    grid = grids.haar_grid_for_degree(3, verify=False)
+    grids._verify_haar(grid)
+    with pytest.raises(InvalidGrid):
+        grids._verify_haar(dataclasses.replace(grid, exactness_degree=4))
+
+
+def test_verify_hemisphere_rejects_overclaimed_band():
+    grid = grids.hemisphere_grid_for(6, verify=False)
+    grids._verify_hemisphere(grid)
+    overclaimed = dataclasses.replace(
+        grid, exactness_twice=grid.exactness_twice + 1
+    )
+    with pytest.raises(InvalidGrid):
+        grids._verify_hemisphere(overclaimed)
 
 
 def test_grids_are_cached():

@@ -2,14 +2,17 @@
 Tests for the irreducible representation matrices and Clebsch-Gordan algebra.
 Independent references built in this file: scipy's Jacobi polynomials, matrix
 exponentials of literal angular-momentum ladder matrices, hand-written
-spin-1/2 and spin-1 rotation matrices, and the standard coupling tables for
-1/2 x 1/2 and 1 x 1/2 and 1 x 1.
+spin-1/2 and spin-1 rotation matrices, the standard coupling tables for
+1/2 x 1/2 and 1 x 1/2 and 1 x 1, and the closed-form ``little_d`` against
+which the production little-d matrices are property-tested at large labels.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.special import eval_jacobi
@@ -100,12 +103,78 @@ def test_little_d_symmetries_and_index_errors():
         irreps.little_d(2, 1, 0, 0.5)
 
 
+# beta anywhere in [0, pi], with extra weight on the ends, where the
+# closed form's sin/cos powers and the eigenphases are most delicate
+BETAS = st.one_of(
+    st.sampled_from([0.0, np.pi]),
+    st.floats(0.0, 1e-7),
+    st.floats(np.pi - 1e-7, np.pi),
+    st.floats(0.0, np.pi),
+)
+
+
+def _unit(q):
+    q = np.asarray(q)
+    return q / np.linalg.norm(q)
+
+
+# unit quaternions, including the gimbal circles beta = 0 and beta = pi
+ELEMENTS = st.one_of(
+    st.sampled_from(
+        [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0),
+         (0.0, 0.0, 1.0, 0.0), (-1.0, 0.0, 0.0, 0.0)]
+    ),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 1e-3
+    ),
+).map(_unit)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    two_j=st.integers(0, 160),
+    betas=st.lists(BETAS, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_little_d_matrix_matches_closed_form(two_j, betas, data):
+    # one drawn row and one drawn column against the closed form
+    d = irreps.little_d_matrix(two_j, betas)
+    tm = irreps.two_m_values(two_j)
+    i = data.draw(st.integers(0, two_j), label="row")
+    k = data.draw(st.integers(0, two_j), label="column")
+    for n in range(two_j + 1):
+        for row, col in ((i, n), (n, k)):
+            want = irreps.little_d(two_j, int(tm[row]), int(tm[col]), betas)
+            assert_allclose(d[:, row, col], want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_j=st.integers(0, 160), betas=st.lists(BETAS, min_size=1, max_size=4))
+def test_little_d_matrix_orthogonal(two_j, betas):
+    d = irreps.little_d_matrix(two_j, betas)
+    eye = np.broadcast_to(np.eye(two_j + 1), d.shape)
+    assert_allclose(d @ d.transpose(0, 2, 1), eye, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(two_j=st.integers(80, 120), g1=ELEMENTS, g2=ELEMENTS)
+def test_dmatrix_unitary_homomorphism_at_large_labels(two_j, g1, g2):
+    d1, d2 = irreps.dmatrix(two_j, g1), irreps.dmatrix(two_j, g2)
+    eye = np.eye(two_j + 1)
+    assert_allclose(d1 @ d1.conj().T, eye, rtol=0, atol=1e-11)
+    assert_allclose(
+        irreps.dmatrix(two_j, su2.mul(g1, g2)), d1 @ d2, rtol=0, atol=1e-11
+    )
+
+
 @pytest.mark.parametrize("two_j", [-1, -2])
 def test_negative_two_j_raises_domain_error(two_j):
     with pytest.raises(DomainError):
         irreps.dmatrix(two_j, su2.identity())
     with pytest.raises(DomainError):
         irreps.little_d_matrix(two_j, 0.5)
+    with pytest.raises(DomainError):
+        irreps.character(two_j, su2.identity())
 
 
 def test_dmatrix_half_equals_defining_matrix():
