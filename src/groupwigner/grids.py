@@ -9,7 +9,7 @@ exactly (to ~1e-10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -70,6 +70,13 @@ class HemisphereGrid:
     jacobian: np.ndarray   # (K,) = 8 * a0**2
     squared: np.ndarray    # (K, 4) the nodes squared in the group
     exactness_twice: int
+    # wigner.overlap_trace's state-independent tensors, keyed by (state
+    # band, label), filled on first use and holding one band at a time
+    # (at most wigner._TENSOR_BYTES); a dataclasses.replace copy starts
+    # empty, since its nodes or weights may differ
+    _overlap_tensors: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_nodes(self) -> int:

@@ -45,6 +45,9 @@ __all__ = [
 #: dot-product threshold below which two elements count as antipodal
 ANTIPODAL_EPS = 1e-9
 
+#: largest distance of ``|g|`` from 1 that :func:`_as_elements` accepts
+_UNIT_TOL = 1e-10
+
 
 def identity() -> np.ndarray:
     """Return the identity element ``(1, 0, 0, 0)``."""
@@ -55,6 +58,28 @@ def normalize(a):
     """Rescale 4-vectors to unit norm (projection onto the group manifold)."""
     a = np.asarray(a, dtype=float)
     return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def _as_elements(g) -> np.ndarray:
+    """``g`` as a float array of group elements, shape ``(..., 4)``.
+
+    Raises
+    ------
+    DomainError
+        If the last axis is not of length 4, or an entry is non-finite, or
+        some ``| |g| - 1 |`` exceeds ``_UNIT_TOL``.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.shape[-1:] != (4,):
+        raise DomainError(f"group elements need a last axis of 4, got shape {g.shape}")
+    off = np.abs(np.sqrt(np.einsum("...i,...i->...", g, g)) - 1.0)
+    # NaN compares false, so non-finite entries fail the check too
+    if not np.all(off <= _UNIT_TOL):
+        raise DomainError(
+            "group elements must be finite unit quaternions: "
+            f"max | |g| - 1 | = {np.max(off):.3e} > {_UNIT_TOL:g}"
+        )
+    return g
 
 
 def mul(a, b):

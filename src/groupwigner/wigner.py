@@ -97,31 +97,52 @@ def _require_ggrid(grid, band: int, what: str) -> None:
         )
 
 
-def _pair_values(state, gs: np.ndarray, dks: dict):
-    """``psi(g k)`` and ``psi(g k^{-1})`` as ``(G, K)`` arrays."""
-    n_g = gs.shape[0]
-    n_k = next(iter(dks.values())).shape[0]
-    vp = np.zeros((n_g, n_k), dtype=complex)
-    vm = np.zeros((n_g, n_k), dtype=complex)
+def _chunks(n: int, size: int = _CHUNK):
+    """Slices of at most ``size`` consecutive indices covering ``range(n)``."""
+    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
+
+
+def _coefficient_count(two_jmax: int) -> int:
+    """``n = sum_{t <= two_jmax} (t+1)^2`` coefficients up to a band."""
+    return (two_jmax + 1) * (two_jmax + 2) * (2 * two_jmax + 3) // 6
+
+
+def _coefficients(state, gs: np.ndarray, two_jmax: int):
+    """Translated coefficient vectors ``(u, v)`` of one state, each
+    ``(G, n)`` with ``n = sum_{t <= two_jmax} (t+1)^2`` and zero above the
+    state's band: entry ``(t, a, c)`` of ``u`` is ``sqrt(t+1) sum_m
+    D^t_{ma}(g) psi^(t)_{mc}``, and ``v`` is ``conj(u)`` with ``a`` and ``c``
+    swapped, so that over the flattened ``D(k)`` of :func:`_k_matrices`
+
+        psi(g k) = u(g) . D(k),    conj(psi(g k^{-1})) = v(g) . D(k).
+    """
+    u = np.zeros((gs.shape[0], _coefficient_count(two_jmax)), dtype=complex)
+    v = np.zeros_like(u)
     for two_jp, block in enumerate(state.blocks):
-        if not np.any(block):
-            continue
-        dg = irreps.dmatrix(two_jp, gs)
-        cg = np.einsum("gma,mn->gan", dg, block).reshape(n_g, -1)
-        dk = dks[two_jp]
-        pref = np.sqrt(two_jp + 1.0)
-        # "gan,kan->gk" and "gan,kna->gk" as plain matrix products
-        vp += pref * (cg @ dk.reshape(n_k, -1).T)
-        vm += pref * (cg @ np.conj(dk).transpose(0, 2, 1).reshape(n_k, -1).T)
-    return vp, vm
+        if np.any(block):
+            cg = np.einsum("gma,mn->gan", irreps.dmatrix(two_jp, gs), block)
+            lo, d = _coefficient_count(two_jp - 1), two_jp + 1
+            cg *= np.sqrt(d)
+            u[:, lo : lo + d * d] = cg.reshape(len(gs), -1)
+            v[:, lo : lo + d * d] = np.conj(cg.transpose(0, 2, 1)).reshape(len(gs), -1)
+    return u, v
 
 
-def _pair_kernel(rho, gs: np.ndarray, dks: dict) -> np.ndarray:
+def _k_matrices(ks: np.ndarray, two_jmax: int) -> np.ndarray:
+    """``D^t(k)`` for ``t <= two_jmax``, flattened over ``(t, a, c)`` like
+    :func:`_coefficients`: shape ``(K, n)``."""
+    return np.concatenate(
+        [irreps.dmatrix(t, ks).reshape(ks.shape[0], -1) for t in range(two_jmax + 1)],
+        axis=1,
+    )
+
+
+def _pair_kernel(rho, gs: np.ndarray, dk: np.ndarray, two_jmax: int) -> np.ndarray:
     """Mid-point pair kernel ``c[g, k] = <g k| rho |g k^{-1}>``."""
     c = None
     for w, state in zip(rho.weights, rho.states):
-        vp, vm = _pair_values(state, gs, dks)
-        term = w * vp * np.conj(vm)
+        u, v = _coefficients(state, gs, two_jmax)
+        term = w * (u @ dk.T) * (v @ dk.T)
         c = term if c is None else c + term
     return c
 
@@ -130,11 +151,10 @@ def _weighted_kernels(gs: np.ndarray, kgrid, *rhos):
     """Yield ``(sl, [c[g, k] * w[k] for each rho])`` over chunks ``gs[sl]``,
     with ``w`` the pushforward weights of ``kgrid``."""
     two_jmax = max(rho.two_jmax for rho in rhos)
-    dks = {t: irreps.dmatrix(t, kgrid.nodes) for t in range(two_jmax + 1)}
+    dk = _k_matrices(kgrid.nodes, two_jmax)
     wj = kgrid.pushforward_weights
-    for lo in range(0, gs.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, gs.shape[0]))
-        yield sl, [_pair_kernel(rho, gs[sl], dks) * wj for rho in rhos]
+    for sl in _chunks(gs.shape[0]):
+        yield sl, [_pair_kernel(rho, gs[sl], dk, two_jmax) * wj for rho in rhos]
 
 
 def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
@@ -142,7 +162,7 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     with block index order ``[M, N, M', N']``."""
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_j, kgrid)
-    gs = np.asarray(gs, dtype=float)
+    gs = su2._as_elements(gs)
     dim = two_j + 1
     cdk = np.conj(irreps.dmatrix(two_j, kgrid.nodes))
     # pair_factor[k, (a, n, b, q)] collects the k-dependence of
@@ -187,7 +207,7 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     """
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_j, kgrid)
-    gs = np.asarray(gs, dtype=float)
+    gs = su2._as_elements(gs)
     y = _y_kernels(rho, gs, two_j, kgrid)
     if variant == "left":
         dg = irreps.dmatrix(two_j, gs)
@@ -212,7 +232,7 @@ def hermiticity_defect(values: np.ndarray) -> float:
 def transform_left(block: WignerBlock, h) -> WignerBlock:
     """Covariance image of a block under left translation of the state by
     ``h``: returns the block of the translated state at the point ``h g``."""
-    h = np.asarray(h, dtype=float)
+    h = su2._as_elements(h)
     d = irreps.dmatrix(block.two_j, h)
     values = np.einsum("ma,pb,anbq->mnpq", d, np.conj(d), block.values)
     return WignerBlock(
@@ -223,7 +243,7 @@ def transform_left(block: WignerBlock, h) -> WignerBlock:
 def transform_right(block: WignerBlock, h) -> WignerBlock:
     """Covariance image under right translation of the state by ``h^{-1}``
     (wavefunction ``psi(. h)``): the block of the new state at ``g h^{-1}``."""
-    h = np.asarray(h, dtype=float)
+    h = su2._as_elements(h)
     dinv = irreps.dmatrix(block.two_j, su2.inverse(h))
     values = np.einsum(
         "makb,an,bq->mnkq", block.values, dinv, np.conj(dinv)
@@ -274,12 +294,93 @@ def marginal_position(rho, g, two_jsum: int, kgrid):
     """
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_jsum, kgrid)
-    g = np.asarray(g, dtype=float)
+    g = su2._as_elements(g)
     lead = g.shape[:-1]
     gs = g.reshape(-1, 4)
     increments = _character_sums(rho, gs, su2.identity(), two_jsum, kgrid).real
     values = increments.sum(axis=-1)
     return values.reshape(lead), increments.reshape(lead + (two_jsum + 1,))
+
+
+#: largest set of overlap tensors, in bytes, that ``overlap_trace`` builds
+#: and keeps on one hemisphere grid; a larger set takes the direct path
+_TENSOR_BYTES = 64 * 2**20
+#: largest ``(k, alpha, beta)`` or ``(g, alpha, beta)`` product array that
+#: it forms
+_PAIR_BYTES = 16 * 2**20
+
+
+def _overlap_tensors(kgrid, two_jmax: int, two_jsum: int) -> list:
+    """Phase-space tensors ``T_J[(alpha, beta), (b, a)] = sum_k D_alpha(k)
+    D_beta(k) w[k] conj(D^J(k^2)_{ba})`` for ``2J <= two_jsum``, each of
+    shape ``(n^2, (2J+1)^2)`` over the flattened ``D(k)`` of
+    :func:`_k_matrices`, to be contracted as in :func:`_traced_kernels`.
+
+    They depend on the hemisphere rule, the state band and the label, never
+    on the states.  They are kept on ``kgrid`` under ``(two_jmax, two_j)``,
+    for one band at a time.  Missing labels are built in one pass over
+    chunks of ``_CHUNK`` nodes, with the ``(k, alpha, beta)`` products formed
+    a few ``alpha`` at a time, so that none exceeds ``_PAIR_BYTES``.
+    """
+    cache = kgrid._overlap_tensors
+    if any(band != two_jmax for band, _ in cache):
+        cache.clear()
+    missing = [t for t in range(two_jsum + 1) if (two_jmax, t) not in cache]
+    if missing:
+        n = _coefficient_count(two_jmax)
+        built = {t: np.zeros((n * n, (t + 1) ** 2), dtype=complex) for t in missing}
+        wj = kgrid.pushforward_weights
+        for sl in _chunks(kgrid.n_nodes):
+            dk = _k_matrices(kgrid.nodes[sl], two_jmax)
+            dkw = dk * wj[sl, None]
+            dk2 = {
+                t: np.conj(irreps.dmatrix(t, kgrid.squared[sl])).reshape(len(dk), -1)
+                for t in missing
+            }
+            # P[k, (alpha, beta)] for a few alpha at a time
+            for rows in _chunks(n, max(1, _PAIR_BYTES // (16 * _CHUNK * n))):
+                pair = (dk[:, rows, None] * dkw[:, None, :]).reshape(len(dk), -1)
+                for t, tensor in built.items():
+                    tensor[rows.start * n : rows.stop * n] += pair.T @ dk2[t]
+        cache.update({(two_jmax, t): tensor for t, tensor in built.items()})
+    return [cache[(two_jmax, t)] for t in range(two_jsum + 1)]
+
+
+def _traced_kernels(rho, gs: np.ndarray, tensors: list, two_jmax: int) -> list:
+    """``R(g) @ T_J`` for each tensor of :func:`_overlap_tensors`: the traced
+    kernels ``Y(g; J)^T / N_J`` of ``rho``, flattened, with
+
+        R[g, (alpha, beta)] = sum_s w_s u_s,alpha(g) v_s,beta(g).
+
+    ``R`` itself is formed only while it fits in ``_PAIR_BYTES``; above
+    that, each state's ``u(g)`` meets ``T_J`` first and ``v(g)`` after.
+    """
+    n = _coefficient_count(two_jmax)
+    coefficients = [
+        (w, *_coefficients(state, gs, two_jmax))
+        for w, state in zip(rho.weights, rho.states)
+    ]
+    if 16 * len(gs) * n * n <= _PAIR_BYTES:
+        r = sum(w * (u[:, :, None] * v[:, None, :]) for w, u, v in coefficients)
+        r = r.reshape(len(gs), -1)
+        return [r @ t for t in tensors]
+    return [
+        sum(
+            w * (v[:, None, :] @ (u @ t.reshape(n, -1)).reshape(len(gs), n, -1))[:, 0]
+            for w, u, v in coefficients
+        )
+        for t in tensors
+    ]
+
+
+def _label_term(two_j: int, wg: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> float:
+    """``(2J+1) sum_g w_g Re tr(V_1 V_2)`` for traced kernels flattened in
+    the ``[g, b, a]`` layout."""
+    d = two_j + 1
+    term = np.einsum(
+        "g,gab,gba->", wg, v1.reshape(-1, d, d), v2.reshape(-1, d, d), optimize=True
+    )
+    return d * term.real
 
 
 def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"):
@@ -294,6 +395,18 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     give one number inside the trace, because ``D^J(g)`` is unitary, so
     both variants return the same computation; ``variant`` is still
     validated and stays for compatibility.
+
+    The pair kernel factorises as ``c[g, k] = R(g) . P(k)`` with
+    ``P[k, (alpha, beta)] = D_alpha(k) D_beta(k)`` (see
+    :func:`_traced_kernels`), so the hemisphere integral of each label is a
+    state-independent tensor ``T_J`` (:func:`_overlap_tensors`).  When the
+    tensors for the state band and ``two_jsum`` fit in ``_TENSOR_BYTES``,
+    they are built on the first call and kept on ``kgrid``, and what is
+    left per state and label is ``R(g) @ T_J`` over the group grid; the
+    state of lower band is padded with zeros to the larger band.
+    Otherwise both pair kernels are evaluated on the G x K grid and
+    contracted with ``conj(D^J(k^2))`` for every label, in chunks of
+    ``_CHUNK`` group nodes, and nothing is kept.
     """
     rho1 = as_ensemble(rho1)
     rho2 = as_ensemble(rho2)
@@ -302,22 +415,27 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     _require_ggrid(
         ggrid, rho1.two_jmax + rho2.two_jmax, "overlap group integral"
     )
-    _require_kgrid(max(rho1.two_jmax, rho2.two_jmax), two_jsum, kgrid)
-    # conj(D^J(k^2)) flattened row-major over (b, a): the products below come
-    # out in the transposed [g, b, a] layout of the right-variant values
-    dk2_flat = [
-        np.conj(irreps.dmatrix(t, kgrid.squared)).reshape(kgrid.n_nodes, -1)
-        for t in range(two_jsum + 1)
-    ]
+    band = max(rho1.two_jmax, rho2.two_jmax)
+    _require_kgrid(band, two_jsum, kgrid)
+    n = _coefficient_count(band)
     increments = np.zeros(two_jsum + 1)
-    for sl, (a1, a2) in _weighted_kernels(ggrid.nodes, kgrid, rho1, rho2):
-        wg = ggrid.weights[sl]
-        for t in range(two_jsum + 1):
-            d = t + 1
-            v1 = (a1 @ dk2_flat[t]).reshape(-1, d, d)
-            v2 = (a2 @ dk2_flat[t]).reshape(-1, d, d)
-            term = np.einsum("g,gab,gba->", wg, v1, v2, optimize=True)
-            increments[t] += (t + 1.0) * term.real
+    if 16 * n * n * _coefficient_count(two_jsum) <= _TENSOR_BYTES:
+        tensors = _overlap_tensors(kgrid, band, two_jsum)
+        for sl in _chunks(ggrid.n_nodes):
+            y1 = _traced_kernels(rho1, ggrid.nodes[sl], tensors, band)
+            y2 = _traced_kernels(rho2, ggrid.nodes[sl], tensors, band)
+            for t, (v1, v2) in enumerate(zip(y1, y2)):
+                increments[t] += _label_term(t, ggrid.weights[sl], v1, v2)
+    else:
+        # conj(D^J(k^2)) flattened row-major over (b, a): the products come
+        # out in the transposed [g, b, a] layout of the right-variant values
+        dk2_flat = [
+            np.conj(irreps.dmatrix(t, kgrid.squared)).reshape(kgrid.n_nodes, -1)
+            for t in range(two_jsum + 1)
+        ]
+        for sl, (a1, a2) in _weighted_kernels(ggrid.nodes, kgrid, rho1, rho2):
+            for t, dk2 in enumerate(dk2_flat):
+                increments[t] += _label_term(t, ggrid.weights[sl], a1 @ dk2, a2 @ dk2)
     return float(increments.sum()), increments
 
 
@@ -340,8 +458,8 @@ def reconstruct_kernel(rho, g1, g2, two_jsum: int, kgrid, variant: str = "left")
     _require_kgrid(rho.two_jmax, two_jsum, kgrid)
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
+    g1 = su2._as_elements(g1)
+    g2 = su2._as_elements(g2)
     s = su2.midpoint(g1, g2)
     rel = su2.mul(su2.inverse(g2), g1)
     increments = _character_sums(rho, s[None, :], rel, two_jsum, kgrid)[0]
@@ -363,7 +481,7 @@ def wigner_bruteforce_mollified(rho, g, two_j: int, epsilons, grid, chunk: int =
     mid-point geometry across widths and returns a stacked array of blocks.
     """
     rho = as_ensemble(rho)
-    g = np.asarray(g, dtype=float)
+    g = su2._as_elements(g)
     eps = np.atleast_1d(np.asarray(epsilons, dtype=float))
     scalar_in = np.isscalar(epsilons) or np.ndim(epsilons) == 0
     nodes, w = grid.nodes, grid.weights
@@ -409,7 +527,7 @@ def mollified_delta_mass(eps: float, grid, center=None):
 
     if center is None:
         center = su2.identity()
-    center = np.asarray(center, dtype=float)
+    center = su2._as_elements(center)
     dist = su2.distance(center, grid.nodes)
     on_grid = float(np.sum(grid.weights * np.exp(-((dist / eps) ** 2))))
     analytic = (2.0 / np.pi) * quad(

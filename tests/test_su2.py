@@ -287,3 +287,17 @@ def test_random_elements_deterministic_and_uniform():
     assert not np.array_equal(a, c)
     # componentwise means vanish for the round measure
     assert np.max(np.abs(a.mean(axis=0))) < 0.1
+
+
+def test_as_elements_accepts_unit_and_rejects_the_rest():
+    g = su2.random_elements(np.random.default_rng(3), 5)
+    assert_allclose(su2._as_elements(g.tolist()), g, atol=0)
+    su2._as_elements((1.0 + 0.9 * su2._UNIT_TOL) * g)
+    for bad in (
+        (1.0 + 1.1 * su2._UNIT_TOL) * g,
+        np.where(np.arange(4) == 2, np.nan, g),
+        np.where(np.arange(4) == 0, -np.inf, g),
+        g[:, :3],
+    ):
+        with pytest.raises(DomainError):
+            su2._as_elements(bad)

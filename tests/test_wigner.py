@@ -8,12 +8,17 @@ phase-space machinery, and the constant state whose traced blocks are known
 in closed form.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from groupwigner import grids, irreps, states, su2, wigner
-from groupwigner.errors import AntipodalPair, GridTooCoarse
+from groupwigner.errors import AntipodalPair, DomainError, GridTooCoarse
 
 RNG_SEED = 20240814
 
@@ -193,6 +198,133 @@ def test_overlap_matches_left_variant_reference():
         assert abs(inc[two_j] - ref) < 1e-12
 
 
+def _overlap_direct(rho1, rho2, two_jsum, ggrid, kgrid):
+    # the direct formula, which the functional keeps for tensors over its
+    # byte budget: both pair kernels on the G x K grid, contracted with
+    # conj(D^J(k^2)) for every label
+    with mock.patch.object(wigner, "_TENSOR_BYTES", 0):
+        return wigner.overlap_trace(rho1, rho2, two_jsum, ggrid, kgrid)[1]
+
+
+# one pair of grids for every drawn case, so the cached tensors are reused;
+# the two formulas agree node by node, so every 8th Haar node (64 of 512)
+# keeps the direct reference cheap
+REF_BAND = 3
+REF_JSUM = 8
+_HAAR = grids.haar_grid_for_degree(REF_BAND)
+REF_GGRID = dataclasses.replace(_HAAR, nodes=_HAAR.nodes[::8], weights=_HAAR.weights[::8])
+REF_KGRID = grids.hemisphere_grid_for(REF_BAND + REF_JSUM)
+
+
+@st.composite
+def _states(draw):
+    """A pure state, or an ensemble of 2-3 members, each of band 0-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    bands = draw(st.lists(st.integers(0, REF_BAND), min_size=1, max_size=3))
+    members = tuple(states.random_state(rng, b) for b in bands)
+    if len(members) == 1:
+        return members[0]
+    w = rng.uniform(0.1, 1.0, len(members))
+    return states.DensityEnsemble(tuple(w / w.sum()), members)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho1=_states(), rho2=_states(), two_jsum=st.integers(0, REF_JSUM))
+def test_overlap_matches_direct_formula(rho1, rho2, two_jsum):
+    _, inc = wigner.overlap_trace(rho1, rho2, two_jsum, REF_GGRID, REF_KGRID)
+    ref = _overlap_direct(rho1, rho2, two_jsum, REF_GGRID, REF_KGRID)
+    assert np.max(np.abs(inc - ref)) < 1e-13
+
+
+def _count_kgrid_dmatrix(monkeypatch, kgrid):
+    """Count ``irreps.dmatrix`` calls on (chunks of) the kgrid node arrays."""
+    calls = []
+    original = irreps.dmatrix
+
+    def counting(two_j, g):
+        if np.may_share_memory(g, kgrid.nodes) or np.may_share_memory(g, kgrid.squared):
+            calls.append(two_j)
+        return original(two_j, g)
+
+    monkeypatch.setattr(irreps, "dmatrix", counting)
+    return calls
+
+
+def test_overlap_tensors_cached_on_kgrid(monkeypatch):
+    gg = grids.haar_grid_for_degree(2)
+    kg = dataclasses.replace(_kgrid(2, 6))
+    calls = _count_kgrid_dmatrix(monkeypatch, kg)
+    _, inc6 = wigner.overlap_trace(_random_pure(31, 2), _random_pure(32, 1), 6, gg, kg)
+    assert calls
+    calls.clear()
+    # other states, the same band: no kgrid D-matrix is built again
+    a, b = _random_ensemble(33, 2), _random_pure(34, 2)
+    _, inc = wigner.overlap_trace(a, b, 6, gg, kg)
+    assert not calls
+    assert_allclose(inc, _overlap_direct(a, b, 6, gg, kg), rtol=0, atol=1e-13)
+    calls.clear()
+    # a smaller cutoff reuses the cached labels
+    _, inc4 = wigner.overlap_trace(_random_pure(31, 2), _random_pure(32, 1), 4, gg, kg)
+    assert not calls
+    assert np.array_equal(inc4, inc6[:5])
+
+
+def test_overlap_tensors_not_shared_with_replaced_grid(monkeypatch):
+    gg = grids.haar_grid_for_degree(2)
+    kg = _kgrid(2, 4)
+    a, b = _random_pure(35, 2), _random_pure(36, 2)
+    _, inc = wigner.overlap_trace(a, b, 4, gg, kg)
+    # doubled weights double both traced kernels, so every increment is 4x;
+    # tensors reused from the original grid (same shape, same nodes) would
+    # leave them unchanged
+    doubled = dataclasses.replace(kg, weights=2.0 * kg.weights)
+    calls = _count_kgrid_dmatrix(monkeypatch, doubled)
+    _, inc2 = wigner.overlap_trace(a, b, 4, gg, doubled)
+    assert calls
+    assert_allclose(inc2, 4.0 * inc, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("two_jmax", [3, 4])
+def test_overlap_tensor_path_where_pairs_outnumber_nodes(two_jmax):
+    # n^2 coefficient pairs (900, 3025) against 792 and 1274 hemisphere
+    # nodes; at band 4 the pair products are also built in two row blocks
+    kg = dataclasses.replace(_kgrid(two_jmax, 1))
+    n = wigner._coefficient_count(two_jmax)
+    assert n * n > kg.n_nodes
+    gg = grids.haar_grid_for_degree(two_jmax)
+    a, b = _random_ensemble(37, two_jmax), _random_pure(38, two_jmax - 1)
+    _, inc = wigner.overlap_trace(a, b, 1, gg, kg)
+    assert kg._overlap_tensors
+    assert_allclose(inc, _overlap_direct(a, b, 1, gg, kg), rtol=0, atol=1e-13)
+
+
+def _cached_bytes(kgrid):
+    return sum(t.nbytes for t in kgrid._overlap_tensors.values())
+
+
+def test_overlap_over_budget_takes_direct_path_and_keeps_nothing(monkeypatch):
+    gg = grids.haar_grid_for_degree(2)
+    kg = dataclasses.replace(_kgrid(2, 4))
+    a, b = _random_pure(39, 2), _random_pure(40, 1)
+    _, inc = wigner.overlap_trace(a, b, 4, gg, kg)
+    # n^2 sum_{t <= 4} (t+1)^2 complex numbers, n = 14 at band 2
+    assert _cached_bytes(kg) == 16 * 14**2 * 55
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", _cached_bytes(kg) - 1)
+    fresh = dataclasses.replace(kg)
+    _, inc2 = wigner.overlap_trace(a, b, 4, gg, fresh)
+    assert _cached_bytes(fresh) == 0
+    assert_allclose(inc2, inc, rtol=0, atol=1e-13)
+
+
+def test_overlap_tensors_keep_one_band_per_grid():
+    gg = grids.haar_grid_for_degree(2)
+    kg = dataclasses.replace(_kgrid(2, 4))
+    wigner.overlap_trace(_random_pure(41, 2), _random_pure(42, 2), 4, gg, kg)
+    wigner.overlap_trace(_random_pure(43, 1), _random_pure(44, 0), 4, gg, kg)
+    assert sorted(kg._overlap_tensors) == [(1, t) for t in range(5)]
+    assert _cached_bytes(kg) <= wigner._TENSOR_BYTES
+
+
 def test_overlap_converges_to_coefficient_trace():
     a = _random_pure(5, 2)
     b = _random_pure(6, 2)
@@ -273,6 +405,56 @@ def test_grid_preconditions_raise():
         wigner.overlap_trace(rho, rho, 2, coarse_g, _kgrid(2, 2))
     with pytest.raises(GridTooCoarse):
         wigner.marginal_position(rho, su2.identity(), 40, _kgrid(2, 2))
+
+
+E = su2.identity()
+BAD_ELEMENTS = {
+    "scaled": 3.0 * E,
+    "doubled": 2.0 * E,
+    "nan": np.array([np.nan, 0.0, 0.0, 0.0]),
+    "inf": np.array([np.inf, 0.0, 0.0, 0.0]),
+    "off-by-1e-9": (1.0 + 1e-9) * E,
+}
+ELEMENT_ENTRY_POINTS = {
+    "wigner_full_batch": lambda s, g, kg: wigner.wigner_full_batch(s, [E, g], 0, kg),
+    "wigner_full": lambda s, g, kg: wigner.wigner_full(s, g, 0, kg),
+    "wigner_tilde_batch": lambda s, g, kg: wigner.wigner_tilde_batch(s, [g], 0, kg),
+    "wigner_tilde": lambda s, g, kg: wigner.wigner_tilde(s, g, 0, kg, "right"),
+    "transform_left": lambda s, g, kg: wigner.transform_left(
+        wigner.wigner_full(s, E, 0, kg), g
+    ),
+    "transform_right": lambda s, g, kg: wigner.transform_right(
+        wigner.wigner_full(s, E, 0, kg), g
+    ),
+    "marginal_position": lambda s, g, kg: wigner.marginal_position(s, g, 1, kg),
+    "reconstruct_kernel g1": lambda s, g, kg: wigner.reconstruct_kernel(s, g, E, 1, kg),
+    "reconstruct_kernel g2": lambda s, g, kg: wigner.reconstruct_kernel(s, E, g, 1, kg),
+    "wigner_bruteforce_mollified": lambda s, g, kg: wigner.wigner_bruteforce_mollified(
+        s, g, 0, 0.3, grids.haar_grid(2, 1, 4, verify=False)
+    ),
+    "mollified_delta_mass": lambda s, g, kg: wigner.mollified_delta_mass(
+        0.3, grids.haar_grid(2, 1, 4, verify=False), g
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ELEMENTS))
+@pytest.mark.parametrize("entry", sorted(ELEMENT_ENTRY_POINTS))
+def test_non_unit_group_elements_raise(entry, bad):
+    s = _random_pure(41, 1)
+    with pytest.raises(DomainError):
+        ELEMENT_ENTRY_POINTS[entry](s, BAD_ELEMENTS[bad], _kgrid(1, 1))
+
+
+@pytest.mark.parametrize("entry", sorted(ELEMENT_ENTRY_POINTS))
+def test_unit_group_elements_within_tolerance_pass(entry):
+    s = _random_pure(41, 1)
+    ELEMENT_ENTRY_POINTS[entry](s, (1.0 + 1e-12) * su2.from_euler(0.3, 0.8, 1.9), _kgrid(1, 1))
+
+
+def test_group_element_shape_checked():
+    with pytest.raises(DomainError):
+        wigner.wigner_full_batch(_random_pure(41, 1), [[1.0, 0.0, 0.0]], 0, _kgrid(1, 0))
 
 
 def test_bruteforce_mollified_tracks_exact_block():
