@@ -124,7 +124,7 @@ def normalize_state(state: BlockState) -> BlockState:
 
 def synthesize(state: BlockState, g) -> np.ndarray:
     """Wavefunction values ``psi(g)``; ``g`` of shape ``(..., 4)``."""
-    g = np.asarray(g, dtype=float)
+    g = su2._as_elements(g)
     out = np.zeros(g.shape[:-1], dtype=complex)
     for two_j, block in enumerate(state.blocks):
         if not np.any(block):
@@ -167,7 +167,7 @@ def left_translate(state: BlockState, g1) -> BlockState:
 
     Blockwise: ``psi'^(J) = conj(D^J(g1)) @ psi^(J)``.
     """
-    g1 = np.asarray(g1, dtype=float)
+    g1 = su2._as_elements(g1)
     return BlockState(
         tuple(
             np.conj(irreps.dmatrix(two_j, g1)) @ block
@@ -181,7 +181,7 @@ def right_translate(state: BlockState, g2) -> BlockState:
 
     Blockwise: ``psi''^(J) = psi^(J) @ D^J(g2).T``.
     """
-    g2 = np.asarray(g2, dtype=float)
+    g2 = su2._as_elements(g2)
     return BlockState(
         tuple(
             block @ irreps.dmatrix(two_j, g2).T

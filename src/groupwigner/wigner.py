@@ -137,24 +137,28 @@ def _k_matrices(ks: np.ndarray, two_jmax: int) -> np.ndarray:
     )
 
 
-def _pair_kernel(rho, gs: np.ndarray, dk: np.ndarray, two_jmax: int) -> np.ndarray:
-    """Mid-point pair kernel ``c[g, k] = <g k| rho |g k^{-1}>``."""
-    c = None
-    for w, state in zip(rho.weights, rho.states):
-        u, v = _coefficients(state, gs, two_jmax)
-        term = w * (u @ dk.T) * (v @ dk.T)
-        c = term if c is None else c + term
-    return c
+def _k_integrals(rho, gs: np.ndarray, kgrid, factors: list) -> list:
+    """Hemisphere integrals ``sum_k c[g, k] w[k] f[k, :]`` of the pair kernel
+    ``c[g, k] = <g k| rho |g k^{-1}>``, one ``(G, F)`` array for each
+    ``(K, F)`` factor ``f``, with ``w`` the pushforward weights of ``kgrid``.
 
-
-def _weighted_kernels(gs: np.ndarray, kgrid, *rhos):
-    """Yield ``(sl, [c[g, k] * w[k] for each rho])`` over chunks ``gs[sl]``,
-    with ``w`` the pushforward weights of ``kgrid``."""
-    two_jmax = max(rho.two_jmax for rho in rhos)
-    dk = _k_matrices(kgrid.nodes, two_jmax)
+    Chunks of ``_CHUNK`` group nodes meet chunks of hemisphere nodes sized
+    so that no ``(g, k)`` array exceeds ``_PAIR_BYTES``.
+    """
+    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
     wj = kgrid.pushforward_weights
+    out = [np.zeros((gs.shape[0], f.shape[1]), dtype=complex) for f in factors]
     for sl in _chunks(gs.shape[0]):
-        yield sl, [_pair_kernel(rho, gs[sl], dk, two_jmax) * wj for rho in rhos]
+        coefficients = [
+            (w, *_coefficients(state, gs[sl], rho.two_jmax))
+            for w, state in zip(rho.weights, rho.states)
+        ]
+        for ks in _chunks(kgrid.n_nodes, _PAIR_BYTES // (16 * _CHUNK)):
+            c = sum(w * (u @ dk[ks].T) * (v @ dk[ks].T) for w, u, v in coefficients)
+            c *= wj[ks]
+            for o, f in zip(out, factors):
+                o[sl] += c @ f[ks]
+    return out
 
 
 def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
@@ -170,14 +174,12 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     pair_factor = np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(
         kgrid.n_nodes, dim**4
     )
-    out = np.empty((gs.shape[0],) + (dim,) * 4, dtype=complex)
-    for sl, (a,) in _weighted_kernels(gs, kgrid, rho):
-        x = (a @ pair_factor).reshape((-1,) + (dim,) * 4)
-        dgj = irreps.dmatrix(two_j, gs[sl])
-        out[sl] = (two_j + 1.0) * np.einsum(
-            "gma,ganbq,gpb->gmnpq", dgj, x, np.conj(dgj), optimize=True
-        )
-    return out
+    (x,) = _k_integrals(rho, gs, kgrid, [pair_factor])
+    dgj = irreps.dmatrix(two_j, gs)
+    return (two_j + 1.0) * np.einsum(
+        "gma,ganbq,gpb->gmnpq", dgj, x.reshape((-1,) + (dim,) * 4), np.conj(dgj),
+        optimize=True,
+    )
 
 
 def wigner_full(rho, g, two_j: int, kgrid) -> WignerBlock:
@@ -187,16 +189,11 @@ def wigner_full(rho, g, two_j: int, kgrid) -> WignerBlock:
     return WignerBlock(g=g, two_j=two_j, values=values)
 
 
-def _y_kernels(rho, gs: np.ndarray, two_j: int, kgrid) -> np.ndarray:
-    """Traced kernel ``Y(g)`` for each g, shape ``(G, 2J+1, 2J+1)``."""
-    dk2 = irreps.dmatrix(two_j, kgrid.squared)
-    out = np.empty((gs.shape[0], two_j + 1, two_j + 1), dtype=complex)
-    for sl, (a,) in _weighted_kernels(gs, kgrid, rho):
-        # D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})
-        out[sl] = (two_j + 1.0) * np.einsum(
-            "gk,kba->gab", a, np.conj(dk2), optimize=True
-        )
-    return out
+def _dk2_factor(two_j: int, kgrid) -> np.ndarray:
+    """``conj(D^J(k^2))`` flattened row-major over ``(b, a)``: its
+    hemisphere integral against the pair kernel is ``Y(g)^T / N_J``, since
+    ``D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})``."""
+    return np.conj(irreps.dmatrix(two_j, kgrid.squared)).reshape(kgrid.n_nodes, -1)
 
 
 def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
@@ -208,13 +205,14 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_j, kgrid)
     gs = su2._as_elements(gs)
-    y = _y_kernels(rho, gs, two_j, kgrid)
-    if variant == "left":
-        dg = irreps.dmatrix(two_j, gs)
-        return np.einsum("gma,gab,gnb->gmn", dg, y, np.conj(dg), optimize=True)
+    if variant not in ("left", "right"):
+        raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
+    (x,) = _k_integrals(rho, gs, kgrid, [_dk2_factor(two_j, kgrid)])
+    y_t = (two_j + 1.0) * x.reshape(-1, two_j + 1, two_j + 1)
     if variant == "right":
-        return y.transpose(0, 2, 1)
-    raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
+        return y_t
+    dg = irreps.dmatrix(two_j, gs)
+    return np.einsum("gma,gba,gnb->gmn", dg, y_t, np.conj(dg), optimize=True)
 
 
 def wigner_tilde(rho, g, two_j: int, kgrid, variant: str = "left") -> WignerTildeBlock:
@@ -274,11 +272,8 @@ def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
     """
     twisted = su2.mul(su2.inverse(kgrid.squared), r)
     chi = np.stack([irreps.character(t, twisted) for t in range(two_jsum + 1)])
-    prefac = np.arange(1, two_jsum + 2, dtype=float)
-    out = np.empty((gs.shape[0], two_jsum + 1), dtype=complex)
-    for sl, (a,) in _weighted_kernels(gs, kgrid, rho):
-        out[sl] = (a @ chi.T) * prefac
-    return out
+    (sums,) = _k_integrals(rho, gs, kgrid, [chi.T])
+    return sums * np.arange(1, two_jsum + 2, dtype=float)
 
 
 def marginal_position(rho, g, two_jsum: int, kgrid):
@@ -352,25 +347,29 @@ def _traced_kernels(rho, gs: np.ndarray, tensors: list, two_jmax: int) -> list:
 
         R[g, (alpha, beta)] = sum_s w_s u_s,alpha(g) v_s,beta(g).
 
-    ``R`` itself is formed only while it fits in ``_PAIR_BYTES``; above
-    that, each state's ``u(g)`` meets ``T_J`` first and ``v(g)`` after.
+    Over chunks of ``_CHUNK`` group nodes, ``R`` itself is formed only while
+    it fits in ``_PAIR_BYTES``; above that, each state's ``u(g)`` meets
+    ``T_J`` first and ``v(g)`` after.
     """
     n = _coefficient_count(two_jmax)
-    coefficients = [
-        (w, *_coefficients(state, gs, two_jmax))
-        for w, state in zip(rho.weights, rho.states)
-    ]
-    if 16 * len(gs) * n * n <= _PAIR_BYTES:
-        r = sum(w * (u[:, :, None] * v[:, None, :]) for w, u, v in coefficients)
-        r = r.reshape(len(gs), -1)
-        return [r @ t for t in tensors]
-    return [
-        sum(
-            w * (v[:, None, :] @ (u @ t.reshape(n, -1)).reshape(len(gs), n, -1))[:, 0]
-            for w, u, v in coefficients
-        )
-        for t in tensors
-    ]
+    out = [np.empty((len(gs), t.shape[1]), dtype=complex) for t in tensors]
+    for sl in _chunks(len(gs)):
+        m = sl.stop - sl.start
+        coefficients = [
+            (w, *_coefficients(state, gs[sl], two_jmax))
+            for w, state in zip(rho.weights, rho.states)
+        ]
+        if 16 * m * n * n <= _PAIR_BYTES:
+            r = sum(w * (u[:, :, None] * v[:, None, :]) for w, u, v in coefficients)
+            for o, t in zip(out, tensors):
+                np.matmul(r.reshape(m, -1), t, out=o[sl])
+        else:
+            for o, t in zip(out, tensors):
+                o[sl] = sum(
+                    w * (v[:, None, :] @ (u @ t.reshape(n, -1)).reshape(m, n, -1))[:, 0]
+                    for w, u, v in coefficients
+                )
+    return out
 
 
 def _label_term(two_j: int, wg: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> float:
@@ -404,9 +403,9 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     they are built on the first call and kept on ``kgrid``, and what is
     left per state and label is ``R(g) @ T_J`` over the group grid; the
     state of lower band is padded with zeros to the larger band.
-    Otherwise both pair kernels are evaluated on the G x K grid and
-    contracted with ``conj(D^J(k^2))`` for every label, in chunks of
-    ``_CHUNK`` group nodes, and nothing is kept.
+    Otherwise each traced kernel is the hemisphere integral of its pair
+    kernel against ``conj(D^J(k^2))`` for every label
+    (:func:`_k_integrals`), and nothing is kept.
     """
     rho1 = as_ensemble(rho1)
     rho2 = as_ensemble(rho2)
@@ -418,24 +417,17 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     band = max(rho1.two_jmax, rho2.two_jmax)
     _require_kgrid(band, two_jsum, kgrid)
     n = _coefficient_count(band)
-    increments = np.zeros(two_jsum + 1)
     if 16 * n * n * _coefficient_count(two_jsum) <= _TENSOR_BYTES:
         tensors = _overlap_tensors(kgrid, band, two_jsum)
-        for sl in _chunks(ggrid.n_nodes):
-            y1 = _traced_kernels(rho1, ggrid.nodes[sl], tensors, band)
-            y2 = _traced_kernels(rho2, ggrid.nodes[sl], tensors, band)
-            for t, (v1, v2) in enumerate(zip(y1, y2)):
-                increments[t] += _label_term(t, ggrid.weights[sl], v1, v2)
+        y1 = _traced_kernels(rho1, ggrid.nodes, tensors, band)
+        y2 = _traced_kernels(rho2, ggrid.nodes, tensors, band)
     else:
-        # conj(D^J(k^2)) flattened row-major over (b, a): the products come
-        # out in the transposed [g, b, a] layout of the right-variant values
-        dk2_flat = [
-            np.conj(irreps.dmatrix(t, kgrid.squared)).reshape(kgrid.n_nodes, -1)
-            for t in range(two_jsum + 1)
-        ]
-        for sl, (a1, a2) in _weighted_kernels(ggrid.nodes, kgrid, rho1, rho2):
-            for t, dk2 in enumerate(dk2_flat):
-                increments[t] += _label_term(t, ggrid.weights[sl], a1 @ dk2, a2 @ dk2)
+        factors = [_dk2_factor(t, kgrid) for t in range(two_jsum + 1)]
+        y1 = _k_integrals(rho1, ggrid.nodes, kgrid, factors)
+        y2 = _k_integrals(rho2, ggrid.nodes, kgrid, factors)
+    increments = np.array(
+        [_label_term(t, ggrid.weights, v1, v2) for t, (v1, v2) in enumerate(zip(y1, y2))]
+    )
     return float(increments.sum()), increments
 
 

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from groupwigner import grids, irreps, states, su2
-from groupwigner.errors import GridTooCoarse, SchemaError
+from groupwigner.errors import DomainError, GridTooCoarse, SchemaError
 
 RNG_SEED = 20240813
 
@@ -283,6 +283,30 @@ def test_ensemble_kernel_matches_sum():
         np.conj(states.ensemble_kernel(rho, g1, g2)),
         atol=1e-13,
     )
+
+
+_E = su2.identity()
+BAD_ELEMENTS = {
+    "3e": 3.0 * _E,
+    "nan": np.array([np.nan, 0.0, 0.0, 0.0]),
+    "inf": np.array([np.inf, 0.0, 0.0, 0.0]),
+}
+ELEMENT_ENTRY_POINTS = {
+    "synthesize": states.synthesize,
+    "synthesize batch": lambda s, g: states.synthesize(s, [_E, g]),
+    "left_translate": states.left_translate,
+    "right_translate": states.right_translate,
+    "ensemble_kernel row": lambda s, g: states.ensemble_kernel(s, g, _E),
+    "ensemble_kernel col": lambda s, g: states.ensemble_kernel(s, _E, g),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ELEMENTS))
+@pytest.mark.parametrize("entry", sorted(ELEMENT_ENTRY_POINTS))
+def test_non_unit_group_elements_raise(entry, bad):
+    s = states.random_state(np.random.default_rng(RNG_SEED), 2)
+    with pytest.raises(DomainError):
+        ELEMENT_ENTRY_POINTS[entry](s, BAD_ELEMENTS[bad])
 
 
 def test_density_coefficients_outer_products():

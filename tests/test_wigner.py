@@ -9,6 +9,7 @@ in closed form.
 """
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -314,6 +315,55 @@ def test_overlap_over_budget_takes_direct_path_and_keeps_nothing(monkeypatch):
     _, inc2 = wigner.overlap_trace(a, b, 4, gg, fresh)
     assert _cached_bytes(fresh) == 0
     assert_allclose(inc2, inc, rtol=0, atol=1e-13)
+
+
+def _pair_kernel_consumers():
+    """Every value computed from the pair kernel, at G = 1 000 > _CHUNK
+    group nodes; the overlap on its direct path."""
+    rho = _random_ensemble(45, 2)
+    gg = grids.haar_grid_for_degree(4)
+    kg = _kgrid(2, 2)
+    g1, g2 = su2.random_elements(np.random.default_rng(46), 2)
+    with mock.patch.object(wigner, "_TENSOR_BYTES", 0):
+        overlap = wigner.overlap_trace(rho, _random_pure(47, 2), 2, gg, kg)[1]
+    return [
+        wigner.wigner_full_batch(rho, gg.nodes, 1, kg),
+        wigner.wigner_tilde_batch(rho, gg.nodes, 2, kg, "left"),
+        wigner.wigner_tilde_batch(rho, gg.nodes, 2, kg, "right"),
+        wigner.marginal_position(rho, gg.nodes, 2, kg)[1],
+        wigner.reconstruct_kernel(rho, g1, g2, 2, kg)[1],
+        overlap,
+    ]
+
+
+def test_k_chunks_that_do_not_divide_the_grid():
+    # 37-node hemisphere chunks: 792 = 21 * 37 + 15 nodes, and the group
+    # nodes split 512 + 488
+    assert wigner._PAIR_BYTES // (16 * wigner._CHUNK) >= _kgrid(2, 2).n_nodes
+    want = _pair_kernel_consumers()
+    with mock.patch.object(wigner, "_PAIR_BYTES", 16 * wigner._CHUNK * 37):
+        got = _pair_kernel_consumers()
+    for w, g in zip(want, got):
+        assert np.max(np.abs(g - w)) < 1e-13
+
+
+def test_direct_overlap_memory_is_bounded_by_its_chunks():
+    gg = grids.haar_grid_for_degree(4)
+    kg = _kgrid(4, 8)
+    a, b = _random_pure(48, 4), _random_ensemble(49, 4)
+    # the whole-K arrays it keeps: the factors conj(D^J(k^2)) of every
+    # label and D(k) up to band 4; every (g, k) array is within _PAIR_BYTES
+    factor_bytes = 16 * kg.n_nodes * wigner._coefficient_count(8)
+    dk_bytes = 16 * kg.n_nodes * wigner._coefficient_count(4)
+    bound = 2 * (factor_bytes + dk_bytes) + 4 * wigner._PAIR_BYTES
+    with mock.patch.object(wigner, "_TENSOR_BYTES", 0):
+        tracemalloc.start()
+        try:
+            wigner.overlap_trace(a, b, 8, gg, kg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < bound
 
 
 def test_overlap_tensors_keep_one_band_per_grid():
