@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfDomain, SchemaError
+from .states import _is_count, _number_array
 
 __all__ = [
     "CartesianState",
@@ -69,8 +70,8 @@ class CartesianState:
         values = np.asarray(self.values, dtype=complex)
         if values.ndim != 1 or values.size < 4:
             raise ValueError("values must be a 1-d array with at least 4 samples")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError("half_width must be positive and finite")
         object.__setattr__(self, "values", values)
         dq = self.dq
         norm2 = float(np.trapezoid(np.abs(values) ** 2, dx=dq))
@@ -78,7 +79,7 @@ class CartesianState:
             # trapezoid on a periodic sequence double-counts nothing; use
             # the rectangle rule, identical up to the missing wrap sample
             norm2 = float(np.sum(np.abs(values) ** 2) * dq)
-        if abs(norm2 - 1.0) > 1e-8:
+        if not abs(norm2 - 1.0) <= 1e-8:
             raise ValueError(f"state norm^2 = {norm2!r}, must be 1 within 1e-8")
         if not self.periodic:
             edge = max(abs(values[0]), abs(values[-1]))
@@ -266,7 +267,7 @@ class AngleState:
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d array")
         norm2 = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:
             raise ValueError(f"sum |c_m|^2 = {norm2!r}, must be 1 within 1e-12")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -443,21 +444,34 @@ def cartesian_to_payload(state: CartesianState) -> dict:
     }
 
 
-def cartesian_from_payload(payload) -> CartesianState:
-    if not isinstance(payload, dict) or payload.get("group") != "cartesian":
-        raise SchemaError("expected a payload with group 'cartesian'")
+def _payload_samples(payload, group: str) -> np.ndarray:
+    """The complex samples ``re + i im`` of an so2 or cartesian payload."""
+    if not isinstance(payload, dict) or payload.get("group") != group:
+        raise SchemaError(f"expected a payload with group {group!r}")
     try:
-        values = np.asarray(payload["re"], float) + 1j * np.asarray(
-            payload["im"], float
-        )
-        state = CartesianState(
-            values, float(payload["half_width"]), bool(payload.get("periodic", False))
+        real, imag = (
+            _number_array(payload[k], f"{group} field {k!r}") for k in ("re", "im")
         )
     except KeyError as exc:
-        raise SchemaError(f"missing cartesian field {exc}") from None
-    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"missing {group} field {exc}") from None
+    if real.ndim != 1 or real.shape != imag.shape:
+        raise SchemaError(f"{group} fields 're' and 'im' must be equal-length lists")
+    return real + 1j * imag
+
+
+def cartesian_from_payload(payload) -> CartesianState:
+    values = _payload_samples(payload, "cartesian")
+    what = "cartesian field 'half_width'"
+    half_width = _number_array(payload.get("half_width"), what)
+    periodic = payload.get("periodic", False)
+    if half_width.ndim != 0:
+        raise SchemaError(f"{what} must be a number")
+    if not isinstance(periodic, bool):
+        raise SchemaError("cartesian field 'periodic' must be true or false")
+    try:
+        return CartesianState(values, float(half_width), periodic)
+    except ValueError as exc:
         raise SchemaError(f"invalid cartesian state: {exc}") from None
-    return state
 
 
 def angle_to_payload(state: AngleState) -> dict:
@@ -470,15 +484,11 @@ def angle_to_payload(state: AngleState) -> dict:
 
 
 def angle_from_payload(payload) -> AngleState:
-    if not isinstance(payload, dict) or payload.get("group") != "so2":
-        raise SchemaError("expected a payload with group 'so2'")
+    coeffs = _payload_samples(payload, "so2")
+    m_min = payload.get("m_min")
+    if not _is_count(m_min):
+        raise SchemaError("so2 field 'm_min' must be an integer")
     try:
-        coeffs = np.asarray(payload["re"], float) + 1j * np.asarray(
-            payload["im"], float
-        )
-        state = AngleState(coeffs, int(payload["m_min"]))
-    except KeyError as exc:
-        raise SchemaError(f"missing so2 field {exc}") from None
-    except (TypeError, ValueError) as exc:
+        return AngleState(coeffs, m_min)
+    except ValueError as exc:
         raise SchemaError(f"invalid so2 state: {exc}") from None
-    return state

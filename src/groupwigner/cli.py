@@ -91,7 +91,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -279,14 +279,24 @@ def _ggrid(config: RunConfig) -> grids.QuadratureGrid:
 
 
 def _check_orthogonality(config, rng):
-    grid = grids.haar_grid(*config.grid_shape, verify=False)
+    grid = _ggrid(config)
     if 2 * grid.exactness_degree < config.jmax_twice:
         raise GridTooCoarse(
             f"grid {config.grid_shape} is exact only to degree "
             f"{grid.exactness_degree}; orthogonality up to two_j="
             f"{config.jmax_twice} needs degree {config.jmax_twice}/2"
         )
-    defect = grids._gram_defect(grid.nodes, grid.weights, config.jmax_twice)
+    f = np.concatenate(
+        [np.sqrt(t + 1.0) * irreps.dmatrix(t, grid.nodes).reshape(grid.n_nodes, -1)
+         for t in range(config.jmax_twice + 1)],
+        axis=1,
+    )
+    # one weighted copy of f, not two: the Gram product sets the peak memory
+    fw = np.conj(f)
+    fw *= grid.weights[:, None]
+    gram = fw.T @ f
+    gram.flat[:: len(gram) + 1] -= 1.0
+    defect = float(np.max(np.abs(gram)))
     return {"name": "orthogonality", "error": defect, "tolerance": 1e-10}
 
 
@@ -428,7 +438,7 @@ def _check_oracle(config, rng):
         )
     )
     g = su2.random_elements(rng, 1)[0]
-    pair_grid = grids.haar_grid(20, 12, 40, verify=False)
+    pair_grid = grids.haar_grid(20, 12, 40)
     kgrid = grids.hemisphere_grid_for(3)
     worst_final = 0.0
     for two_j in (1, 2):
@@ -655,32 +665,29 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _nodes_array(payload, key, dtype=float):
+def _nodes_array(payload, key, dtype=float, row=()):
+    """``payload[key]`` as an array of shape ``(n, *row)``."""
     if not isinstance(payload, dict) or key not in payload:
         raise SchemaError(f"nodes file must be a JSON object with {key!r}")
-    try:
-        arr = np.asarray(payload[key], dtype=dtype)
-    except (TypeError, ValueError):
-        raise SchemaError(f"nodes entry {key!r} must be numeric") from None
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"nodes entry {key!r} must be finite (no NaN or inf)")
+    arr = states._number_array(payload[key], f"nodes entry {key!r}", dtype)
+    if arr.size == 0:
+        arr = arr.reshape((0, *row))
+    if arr.ndim == 0 or arr.shape[1:] != row:
+        layout = f"rows of length {row[0]}" if row else "numbers"
+        raise SchemaError(f"nodes entry {key!r} must be a flat list of {layout}")
     return arr
 
 
 def _su2_table(config, state_file, nodes_file):
     rho = states.state_from_payload(_load_json(state_file))
     if nodes_file is None:
-        euler = grids.haar_grid(*config.grid_shape, verify=False).euler
+        euler = _ggrid(config).euler
     else:
-        euler = _nodes_array(_load_json(nodes_file), "euler")
-        if euler.size == 0:
-            euler = euler.reshape(0, 3)
-        if euler.ndim != 2 or euler.shape[1] != 3:
-            raise SchemaError("'euler' must be a list of [alpha, beta, gamma] rows")
+        euler = _nodes_array(_load_json(nodes_file), "euler", row=(3,))
     gs = su2.from_euler(euler[:, 0], euler[:, 1], euler[:, 2])
     j_list = list(range(config.jsum_twice + 1))
     kgrid = grids.hemisphere_grid_for(rho.two_jmax + config.jsum_twice)

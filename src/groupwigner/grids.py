@@ -1,10 +1,13 @@
 """Quadrature grids: Haar sampling of the group and the squaring-map
 hemisphere used by the geodesic mid-point integrals.
 
-Both constructors validate their claimed exactness empirically at build time
+Both constructors validate their claimed exactness at build time, always,
 and raise :class:`~groupwigner.errors.InvalidGrid` loudly on failure, so a
 grid object in hand is a certificate that its advertised band is integrated
-exactly (to ~1e-10).
+exactly (to ~1e-10).  Each certificate is a linear moment test,
+``sum_g w_g D^t(g) = delta_{t0}``: on the Haar grid computed from its
+product factors, on the hemisphere grid from the pushforward weights at the
+squared nodes.
 """
 
 from __future__ import annotations
@@ -93,38 +96,32 @@ def _haar_exactness_degree(n_alpha: int, n_beta: int, n_gamma: int) -> int:
     return max((quartered - 4) // 4, 0)
 
 
-def _gram_defect(nodes, weights, two_jmax: int) -> float:
-    """Max deviation from the identity of the weighted Gram matrix of the
-    columns ``sqrt(N_J) D^J_{MN}`` over ``nodes``, ``two_j <= two_jmax``."""
-    n = len(weights)
-    f = np.concatenate(
-        [np.sqrt(t + 1.0) * irreps.dmatrix(t, nodes).reshape(n, -1)
-         for t in range(two_jmax + 1)],
-        axis=1,
-    )
-    # one weighted copy of f, not two: the Gram product sets the peak memory
-    fw = np.conj(f)
-    fw *= weights[:, None]
-    gram = fw.T @ f
-    gram.flat[:: len(gram) + 1] -= 1.0
-    return float(np.max(np.abs(gram)))
-
-
 def _verify_haar(grid: QuadratureGrid, tol: float = 1e-10) -> None:
-    """Check the full Gram matrix of sqrt(N_J) D^J_{MN} columns for all
-    two_j <= 2 * exactness_degree against the identity."""
-    defect = _gram_defect(grid.nodes, grid.weights, 2 * grid.exactness_degree)
+    """Check ``sum_g w_g D^t(g) = delta_{t0}`` for ``two_t <= 4B``: true iff every
+    ``D^J conj(D^J')`` with ``J, J' <= B`` is integrated exactly.  The weights are
+    Fourier-summed over the alpha and gamma factors (Kostelec & Rockmore, 2008)."""
+    top = 4 * grid.exactness_degree
+    euler = grid.euler.reshape(grid.shape + (3,))
+    half_m = np.arange(-top, top + 1) / 2.0
+    e_alpha = np.exp(-1j * np.outer(half_m, euler[:, 0, 0, 0]))
+    e_gamma = np.exp(-1j * np.outer(euler[0, 0, :, 2], half_m))
+    # f[b, m, n] = sum_{a, c} e^{-i m alpha_a} w[a, b, c] e^{-i n gamma_c}
+    f = e_alpha @ np.moveaxis(grid.weights.reshape(grid.shape), 1, 0) @ e_gamma
+    defect = abs(float(np.sum(grid.weights)) - 1.0)  # the t = 0 moment
+    for two_t in range(1, top + 1):
+        idx = top + irreps.two_m_values(two_t)
+        d = irreps.little_d_matrix(two_t, euler[0, :, 0, 1])
+        moment = np.einsum("bmn,bmn->mn", f[:, idx[:, None], idx], d)
+        defect = max(defect, float(np.max(np.abs(moment))))
     if defect > tol:
         raise InvalidGrid(
             f"haar grid {grid.shape} failed its exactness validation at "
-            f"degree {grid.exactness_degree}: Gram defect {defect:.3e}"
+            f"degree {grid.exactness_degree}: moment defect {defect:.3e}"
         )
 
 
 @lru_cache(maxsize=None)
-def haar_grid(
-    n_alpha: int, n_beta: int, n_gamma: int, verify: bool = True
-) -> QuadratureGrid:
+def haar_grid(n_alpha: int, n_beta: int, n_gamma: int) -> QuadratureGrid:
     """Build the ``n_alpha x n_beta x n_gamma`` Euler-angle product grid:
     uniform in alpha over [0, 2 pi), Gauss-Legendre in cos(beta), uniform in
     gamma over [0, 4 pi); weights sum to 1 (normalized Haar).
@@ -152,15 +149,14 @@ def haar_grid(
         weights=w3.reshape(-1),
         exactness_degree=_haar_exactness_degree(n_alpha, n_beta, n_gamma),
     )
-    if verify:
-        _verify_haar(grid)
+    _verify_haar(grid)
     return grid
 
 
-def haar_grid_for_degree(degree: int, verify: bool = True) -> QuadratureGrid:
+def haar_grid_for_degree(degree: int) -> QuadratureGrid:
     """Smallest product grid of the standard shape with exactness >= degree."""
     degree = max(int(degree), 0)
-    return haar_grid(2 * degree + 2, degree + 1, 4 * degree + 4, verify)
+    return haar_grid(2 * degree + 2, degree + 1, 4 * degree + 4)
 
 
 @lru_cache(maxsize=None)
@@ -210,9 +206,7 @@ def _verify_hemisphere(grid: HemisphereGrid, tol: float = 1e-10) -> None:
 
 
 @lru_cache(maxsize=None)
-def hemisphere_grid(
-    n_axial: int, n_theta: int, n_phi: int, verify: bool = True
-) -> HemisphereGrid:
+def hemisphere_grid(n_axial: int, n_theta: int, n_phi: int) -> HemisphereGrid:
     """Quadrature on the hemisphere ``a0 > 0`` exact for polynomial integrands.
 
     Product of an exact half-range rule in ``t = a0`` (see ``_axial_rule``;
@@ -256,15 +250,14 @@ def hemisphere_grid(
         squared=su2.mul(nodes, nodes),
         exactness_twice=max((p_exact - 2) // 2, 0),
     )
-    if verify:
-        _verify_hemisphere(grid)
+    _verify_hemisphere(grid)
     return grid
 
 
-def hemisphere_grid_for(two_band: int, verify: bool = True) -> HemisphereGrid:
+def hemisphere_grid_for(two_band: int) -> HemisphereGrid:
     """Smallest standard hemisphere grid with ``exactness_twice >= two_band``,
     where ``two_band`` is the required ``2*j_max + 2*J`` of the integrands."""
     p = 2 * max(int(two_band), 0) + 2
     n_theta = (p + 2) // 2
     n_phi = p + 1 + (p + 1) % 2
-    return hemisphere_grid(p + 1, n_theta, n_phi, verify)
+    return hemisphere_grid(p + 1, n_theta, n_phi)

@@ -143,10 +143,10 @@ def dmatrix(two_j: int, g):
     """Representation matrix ``D^j(g)``, shape ``(..., 2j+1, 2j+1)`` complex.
 
     Continuous through the gimbal circles because it depends only on the group
-    element, not on the Euler representative chosen for it.
+    element, not on the Euler representative chosen for it.  Raises
+    :class:`DomainError` unless ``g`` holds finite unit quaternions.
     """
-    g = np.asarray(g, dtype=float)
-    eul = su2.to_euler(g)
+    eul = su2.to_euler(su2._as_elements(g))
     alpha, beta, gamma = eul[..., 0], eul[..., 1], eul[..., 2]
     d = little_d_matrix(two_j, beta)
     half_m = two_m_values(two_j) / 2.0

@@ -384,6 +384,32 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(_holds_bool, value))
+    )
+
+
+def _number_array(value, what: str, dtype=float) -> np.ndarray:
+    """A JSON number or nested list of numbers as a finite ``dtype`` array.
+
+    numpy would read JSON booleans and numeric strings as numbers and
+    truncate floats to ints; these, nulls, ragged lists and non-finite
+    entries raise :class:`SchemaError` instead.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise SchemaError(f"{what} must be a rectangular array") from None
+    kinds = "iu" if dtype is int else "iuf"
+    if (arr.size and arr.dtype.kind not in kinds) or _holds_bool(value):
+        kind = "integers" if dtype is int else "numbers"
+        raise SchemaError(f"{what} must hold only {kind}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what} must be finite (no NaN or inf)")
+    return arr.astype(dtype)
+
+
 def _blocks_from_payload(items, two_jmax: int) -> BlockState:
     if not isinstance(items, list):
         raise SchemaError("'blocks' must be a list")
@@ -394,18 +420,16 @@ def _blocks_from_payload(items, two_jmax: int) -> BlockState:
         two_j = item["two_j"]
         if not _is_count(two_j) or not 0 <= two_j <= two_jmax:
             raise SchemaError(f"block two_j={two_j!r} outside 0..{two_jmax}")
-        try:
-            real, imag = (np.asarray(item[k], dtype=float) for k in ("re", "im"))
-            if not (np.all(np.isfinite(real)) and np.all(np.isfinite(imag))):
-                raise SchemaError(f"block two_j={two_j}: entries must be finite")
-            block = real + 1j * imag
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"block two_j={two_j}: {exc}") from None
-        if block.shape != (two_j + 1, two_j + 1):
-            raise SchemaError(
-                f"block two_j={two_j} must be shape {(two_j + 1, two_j + 1)}, "
-                f"got {block.shape}"
-            )
+        real, imag = (
+            _number_array(item[k], f"block two_j={two_j} {k!r}") for k in ("re", "im")
+        )
+        for part in (real, imag):
+            if part.shape != (two_j + 1, two_j + 1):
+                raise SchemaError(
+                    f"block two_j={two_j} must be shape {(two_j + 1, two_j + 1)}, "
+                    f"got {part.shape}"
+                )
+        block = real + 1j * imag
         if blocks[two_j] is not None:
             raise SchemaError(f"duplicate block two_j={two_j}")
         blocks[two_j] = block
@@ -461,8 +485,9 @@ def state_from_payload(payload) -> DensityEnsemble:
         if not isinstance(comp, dict) or "blocks" not in comp:
             raise SchemaError("each component needs a 'blocks' list")
         states.append(_blocks_from_payload(comp["blocks"], two_jmax))
+    weights = _number_array(weights, "'weights'")
     try:
-        return DensityEnsemble(tuple(float(w) for w in weights), tuple(states))
+        return DensityEnsemble(tuple(weights.tolist()), tuple(states))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid ensemble: {exc}") from None
 
@@ -477,6 +502,6 @@ def load_state(path) -> DensityEnsemble:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     return state_from_payload(payload)

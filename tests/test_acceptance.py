@@ -30,7 +30,7 @@ def _random_pure(seed, two_jmax):
 
 def test_criterion_01_irrep_orthogonality():
     t0 = time.perf_counter()
-    grid = grids.haar_grid(14, 7, 28, verify=False)
+    grid = grids.haar_grid(14, 7, 28)
     cols = []
     for two_j in range(7):
         d = irreps.dmatrix(two_j, grid.nodes)
@@ -52,7 +52,7 @@ def test_criterion_01_irrep_orthogonality():
 
 def test_criterion_02_parseval():
     rng = np.random.default_rng(20240816)
-    grid = grids.haar_grid(14, 7, 28, verify=False)
+    grid = grids.haar_grid(14, 7, 28)
     worst = 0.0
     for i in range(20):
         state = states.random_state(rng, i % 5)
@@ -70,7 +70,7 @@ def test_criterion_02_parseval():
 
 
 def test_criterion_03_momentum_marginal():
-    grid = grids.haar_grid(14, 7, 28, verify=False)
+    grid = grids.haar_grid(14, 7, 28)
     worst = worst_diag = 0.0
     for seed in range(5):
         rho = _random_pure(100 + seed, 2)
@@ -169,7 +169,7 @@ def test_criterion_06_bruteforce_oracle():
     g = su2.from_euler(0.9, 1.1, 2.3)
     kgrid = grids.hemisphere_grid_for(3)
     widths = [0.2, 0.1, 0.05]
-    pair_grid = grids.haar_grid(20, 12, 40, verify=False)
+    pair_grid = grids.haar_grid(20, 12, 40)
     monotone = True
     final = 0.0
     for two_j in (1, 2):
@@ -182,7 +182,7 @@ def test_criterion_06_bruteforce_oracle():
         monotone = monotone and errs[0] > errs[1] > errs[2]
         final = max(final, errs[2])
     t0 = time.perf_counter()
-    coarse = grids.haar_grid(10, 6, 20, verify=False)
+    coarse = grids.haar_grid(10, 6, 20)
     for two_j in (1, 2):
         wigner.wigner_bruteforce_mollified(state, g, two_j, widths, coarse)
     elapsed = time.perf_counter() - t0
@@ -259,7 +259,7 @@ def test_criterion_08_trace_overlap():
 
 
 def test_criterion_09_kernel_reconstruction():
-    grid = grids.haar_grid(14, 7, 28, verify=False)
+    grid = grids.haar_grid(14, 7, 28)
     center = su2.from_euler(0.8, 1.2, 0.5)
     state = states.mollified_state(center, 0.6, 4, grid)
     g1 = su2.mul(center, su2.from_euler(0.0, 0.25, 0.0))

@@ -310,3 +310,52 @@ def test_angle_payload_round_trip():
         baselines.angle_from_payload({"group": "cartesian"})
     with pytest.raises(SchemaError):
         baselines.angle_from_payload({"group": "so2", "m_min": 0, "re": [1.0]})
+
+
+def _cartesian_payload(**fields):
+    q = baselines.cartesian_grid(64, 8.0)
+    psi = np.pi**-0.25 * np.exp(-(q**2) / 2.0)
+    payload = baselines.cartesian_to_payload(baselines.CartesianState(psi, 8.0))
+    return {**payload, **fields}
+
+
+def _angle_payload(**fields):
+    payload = baselines.angle_to_payload(_random_angle_state(RNG_SEED, 2))
+    return {**payload, **fields}
+
+
+def test_cartesian_payload_rejects_string_periodic():
+    # bool("false") is True: the string used to make a periodic state
+    with pytest.raises(SchemaError):
+        baselines.cartesian_from_payload(_cartesian_payload(periodic="false"))
+
+
+@pytest.mark.parametrize("m_min", [2.7, True], ids=["float", "bool"])
+def test_angle_payload_rejects_non_integer_m_min(m_min):
+    # int(2.7) and int(True) used to read as 2 and 1
+    with pytest.raises(SchemaError):
+        baselines.angle_from_payload(_angle_payload(m_min=m_min))
+
+
+def test_cartesian_rejects_nan_samples():
+    # abs(nan - 1) > tol is false, so a NaN norm used to pass the norm check
+    payload = _cartesian_payload()
+    payload["re"][30] = float("nan")
+    values = np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
+    with pytest.raises(ValueError):
+        baselines.CartesianState(values, 8.0)
+    with pytest.raises(SchemaError):
+        baselines.cartesian_from_payload(payload)
+    # an infinite half-width made the norm NaN in the same way
+    with pytest.raises(SchemaError):
+        baselines.cartesian_from_payload(_cartesian_payload(half_width=np.inf))
+
+
+def test_angle_rejects_nan_samples():
+    payload = _angle_payload()
+    payload["im"][1] = float("nan")
+    coeffs = np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
+    with pytest.raises(ValueError):
+        baselines.AngleState(coeffs, -2)
+    with pytest.raises(SchemaError):
+        baselines.angle_from_payload(payload)

@@ -212,6 +212,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(["verify", "--config", str(tmp_path / "none")], capsys)
     assert code == 2
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(["verify", "--config", str(cfg)], capsys)
+    assert code == 2
 
 
 def test_unknown_flag_exits_2():
@@ -380,6 +383,11 @@ def test_wigner_schema_errors_exit_2(tmp_path, capsys):
     bad_nodes = write_json(tmp_path / "nodes.json", {"euler": [0.1, 0.2, 0.3]})
     code, _, err = run_cli(["wigner", good, bad_nodes], capsys)
     assert code == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(["wigner", str(binary)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -412,6 +420,17 @@ def test_wigner_non_finite_nodes_exit_2(tmp_path, capsys, group, nodes_text):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_wigner_so2_nan_state_exit_2_before_output(tmp_path, capsys):
+    # a NaN sample used to pass the norm check, so the export failed only
+    # after the report head was written, blaming the table
+    payload = {"group": "so2", "m_min": 0, "re": [float("nan")], "im": [0.0]}
+    state = write_json(tmp_path / "so2.json", payload)
+    code, out, err = run_cli(["wigner", "--group", "so2", state], capsys)
+    assert code == 2
+    assert out == ""
+    assert "so2 field 're'" in err
 
 
 def _csv_rows(out):

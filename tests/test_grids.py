@@ -17,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from groupwigner import grids, irreps, su2
+from groupwigner import cli, grids, irreps, su2
 from groupwigner.errors import InvalidGrid
 from groupwigner.grids import _axial_rule
 
@@ -185,16 +185,54 @@ def test_hemisphere_grid_rejects_bad_shapes():
         grids.hemisphere_grid(7, 4, 7)  # odd n_phi breaks inversion closure
 
 
+@pytest.mark.parametrize("degree", range(7))
+def test_haar_certificate_agrees_with_full_gram(degree):
+    # the factored moment test and the full Gram matrix on the quaternion
+    # nodes (the orthogonality check of verify) both certify the grid
+    grid = grids.haar_grid_for_degree(degree)
+    grids._verify_haar(grid, tol=1e-10)
+    config = cli.RunConfig(grid_shape=grid.shape, jmax_twice=2 * degree)
+    entry = cli._check_orthogonality(config, np.random.default_rng(0))
+    assert entry["error"] < 1e-10
+
+
 def test_verify_haar_rejects_overclaimed_degree():
-    # exact to degree 3 only: the degree-4 Gram columns are not orthonormal
-    grid = grids.haar_grid_for_degree(3, verify=False)
-    grids._verify_haar(grid)
+    # a grid exact to degree B misses some moment with two_t <= 4 (B + 1)
+    for degree in range(13):
+        grid = grids.haar_grid_for_degree(degree)
+        with pytest.raises(InvalidGrid):
+            grids._verify_haar(
+                dataclasses.replace(grid, exactness_degree=degree + 1)
+            )
+
+
+@pytest.mark.parametrize("shift", [[1e-8, 0.0], [1e-8, -1e-8]], ids=["one", "moved"])
+def test_verify_haar_rejects_a_perturbed_weight(shift):
+    # "moved" keeps the weight sum and breaks only the product structure
+    grid = grids.haar_grid(14, 7, 28)
+    weights = grid.weights.copy()
+    weights[[100, 101]] += shift
     with pytest.raises(InvalidGrid):
-        grids._verify_haar(dataclasses.replace(grid, exactness_degree=4))
+        grids._verify_haar(dataclasses.replace(grid, weights=weights))
+
+
+def test_verify_su2_builds_its_grid_once(tmp_path, monkeypatch):
+    grids.haar_grid.cache_clear()
+    built = []
+    build = grids.QuadratureGrid
+
+    def counting(**fields):
+        built.append(fields["shape"])
+        return build(**fields)
+
+    monkeypatch.setattr(grids, "QuadratureGrid", counting)
+    out = str(tmp_path / "report.json")
+    assert cli.main(["verify", "--group", "su2", "--out", out]) == 0
+    assert built.count((14, 7, 28)) == 1
 
 
 def test_verify_hemisphere_rejects_overclaimed_band():
-    grid = grids.hemisphere_grid_for(6, verify=False)
+    grid = grids.hemisphere_grid_for(6)
     grids._verify_hemisphere(grid)
     overclaimed = dataclasses.replace(
         grid, exactness_twice=grid.exactness_twice + 1

@@ -177,6 +177,24 @@ def test_negative_two_j_raises_domain_error(two_j):
         irreps.character(two_j, su2.identity())
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        3.0 * su2.identity(),
+        2.0 * su2.identity(),
+        [np.nan, 0.0, 0.0, 0.0],
+        [np.inf, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+    ],
+    ids=["3e", "2e", "nan", "inf", "last-axis-3"],
+)
+def test_dmatrix_rejects_non_elements(g):
+    # D^j is defined on unit quaternions only: a scaled identity used to
+    # return D(e) and a NaN element a NaN matrix
+    with pytest.raises(DomainError):
+        irreps.dmatrix(1, g)
+
+
 def test_dmatrix_half_equals_defining_matrix():
     rng = np.random.default_rng(RNG_SEED)
     g = su2.random_elements(rng, 25)

@@ -480,10 +480,10 @@ ELEMENT_ENTRY_POINTS = {
     "reconstruct_kernel g1": lambda s, g, kg: wigner.reconstruct_kernel(s, g, E, 1, kg),
     "reconstruct_kernel g2": lambda s, g, kg: wigner.reconstruct_kernel(s, E, g, 1, kg),
     "wigner_bruteforce_mollified": lambda s, g, kg: wigner.wigner_bruteforce_mollified(
-        s, g, 0, 0.3, grids.haar_grid(2, 1, 4, verify=False)
+        s, g, 0, 0.3, grids.haar_grid(2, 1, 4)
     ),
     "mollified_delta_mass": lambda s, g, kg: wigner.mollified_delta_mass(
-        0.3, grids.haar_grid(2, 1, 4, verify=False), g
+        0.3, grids.haar_grid(2, 1, 4), g
     ),
 }
 
@@ -521,7 +521,7 @@ def test_bruteforce_mollified_tracks_exact_block():
     )
     g = su2.from_euler(0.9, 1.1, 2.3)
     exact = wigner.wigner_full(state, g, 1, _kgrid(1, 1)).values
-    pair_grid = grids.haar_grid(10, 6, 20, verify=False)
+    pair_grid = grids.haar_grid(10, 6, 20)
     approx = wigner.wigner_bruteforce_mollified(state, g, 1, 0.2, pair_grid)
     scale = float(np.max(np.abs(exact)))
     assert float(np.max(np.abs(approx - exact))) / scale < 0.2
@@ -530,7 +530,7 @@ def test_bruteforce_mollified_tracks_exact_block():
 def test_bruteforce_mollified_stacks_widths():
     state = _random_pure(11, 1)
     g = su2.identity()
-    pair_grid = grids.haar_grid(10, 6, 20, verify=False)
+    pair_grid = grids.haar_grid(10, 6, 20)
     stacked = wigner.wigner_bruteforce_mollified(
         state, g, 1, [0.3, 0.2], pair_grid
     )
