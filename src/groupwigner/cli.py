@@ -127,10 +127,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"group must be one of {_GROUPS}, got {config.group!r}")
     if config.fmt not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS}, got {config.fmt!r}")
-    if not isinstance(config.jmax_twice, int) or config.jmax_twice < 0:
-        raise ConfigError("jmax must be a non-negative integer (doubled units)")
-    if not isinstance(config.jsum_twice, int) or config.jsum_twice < 0:
-        raise ConfigError("jsum must be a non-negative integer (doubled units)")
+    top = states._MAX_TWO_J
+    if not isinstance(config.jmax_twice, int) or not 0 <= config.jmax_twice <= top:
+        raise ConfigError(f"jmax must be an integer in 0..{top} (doubled units)")
+    if not isinstance(config.jsum_twice, int) or not 0 <= config.jsum_twice <= top:
+        raise ConfigError(f"jsum must be an integer in 0..{top} (doubled units)")
     if not isinstance(config.seed, int):
         raise ConfigError("seed must be an integer")
     if config.tolerance is not None and not config.tolerance > 0:

@@ -4,10 +4,8 @@ hemisphere used by the geodesic mid-point integrals.
 Both constructors validate their claimed exactness at build time, always,
 and raise :class:`~groupwigner.errors.InvalidGrid` loudly on failure, so a
 grid object in hand is a certificate that its advertised band is integrated
-exactly (to ~1e-10).  Each certificate is a linear moment test,
-``sum_g w_g D^t(g) = delta_{t0}``: on the Haar grid computed from its
-product factors, on the hemisphere grid from the pushforward weights at the
-squared nodes.
+exactly (to ``_TOL``).  Both certificates are the one moment test of
+:func:`_certify`, on the grids' product factors.
 """
 
 from __future__ import annotations
@@ -96,10 +94,32 @@ def _haar_exactness_degree(n_alpha: int, n_beta: int, n_gamma: int) -> int:
     return max((quartered - 4) // 4, 0)
 
 
-def _verify_haar(grid: QuadratureGrid, tol: float = 1e-10) -> None:
-    """Check ``sum_g w_g D^t(g) = delta_{t0}`` for ``two_t <= 4B``: true iff every
-    ``D^J conj(D^J')`` with ``J, J' <= B`` is integrated exactly.  The weights are
-    Fourier-summed over the alpha and gamma factors (Kostelec & Rockmore, 2008)."""
+#: largest moment defect a grid certificate accepts
+_TOL = 1e-10
+
+
+def _certify(grid, plane, torus, top: int) -> float:
+    """Check ``sum_x w_x D^t(x) = delta_{t0}`` for ``two_t <= top`` on nodes
+    that are ``plane`` elements turned by a torus: a moment is ``sum_p
+    D^t(plane_p)_{mn} f[p, m, n]``, ``f = torus(top + two_m, top + two_n)`` the
+    weights Fourier-summed over the torus (Kostelec & Rockmore, 2008)."""
+    defect = 0.0
+    for two_t in range(top + 1):
+        idx = top + irreps.two_m_values(two_t)
+        f = torus(idx[:, None], idx)
+        moment = np.einsum("pmn,pmn->mn", irreps.dmatrix(two_t, plane), f)
+        defect = max(defect, float(np.max(np.abs(moment - (two_t == 0)))))
+    if defect > _TOL:
+        raise InvalidGrid(
+            f"{type(grid).__name__} {grid.shape} failed its exactness "
+            f"validation through two_t={top}: moment defect {defect:.3e}"
+        )
+    return defect
+
+
+def _verify_haar(grid: QuadratureGrid) -> float:
+    """Certify ``two_t <= 4B``, true iff every ``D^J conj(D^J')`` with
+    ``J, J' <= B`` is exact; the plane is the beta line at alpha = gamma = 0."""
     top = 4 * grid.exactness_degree
     euler = grid.euler.reshape(grid.shape + (3,))
     half_m = np.arange(-top, top + 1) / 2.0
@@ -107,17 +127,8 @@ def _verify_haar(grid: QuadratureGrid, tol: float = 1e-10) -> None:
     e_gamma = np.exp(-1j * np.outer(euler[0, 0, :, 2], half_m))
     # f[b, m, n] = sum_{a, c} e^{-i m alpha_a} w[a, b, c] e^{-i n gamma_c}
     f = e_alpha @ np.moveaxis(grid.weights.reshape(grid.shape), 1, 0) @ e_gamma
-    defect = abs(float(np.sum(grid.weights)) - 1.0)  # the t = 0 moment
-    for two_t in range(1, top + 1):
-        idx = top + irreps.two_m_values(two_t)
-        d = irreps.little_d_matrix(two_t, euler[0, :, 0, 1])
-        moment = np.einsum("bmn,bmn->mn", f[:, idx[:, None], idx], d)
-        defect = max(defect, float(np.max(np.abs(moment))))
-    if defect > tol:
-        raise InvalidGrid(
-            f"haar grid {grid.shape} failed its exactness validation at "
-            f"degree {grid.exactness_degree}: moment defect {defect:.3e}"
-        )
+    plane = grid.nodes.reshape(grid.shape + (4,))[0, :, 0]
+    return _certify(grid, plane, lambda m, n: f[:, m, n], top)
 
 
 @lru_cache(maxsize=None)
@@ -137,16 +148,11 @@ def haar_grid(n_alpha: int, n_beta: int, n_gamma: int) -> QuadratureGrid:
     euler = np.stack(
         np.meshgrid(alphas, betas, gammas, indexing="ij"), axis=-1
     ).reshape(-1, 3)
-    w3 = (
-        np.ones(n_alpha)[:, None, None]
-        * (wb / 2.0)[None, :, None]
-        * np.ones(n_gamma)[None, None, :]
-    ) / (n_alpha * n_gamma)
     grid = QuadratureGrid(
         shape=(n_alpha, n_beta, n_gamma),
         euler=euler,
         nodes=su2.from_euler(euler[:, 0], euler[:, 1], euler[:, 2]),
-        weights=w3.reshape(-1),
+        weights=np.tile(np.repeat(wb / 2.0, n_gamma), n_alpha) / (n_alpha * n_gamma),
         exactness_degree=_haar_exactness_degree(n_alpha, n_beta, n_gamma),
     )
     _verify_haar(grid)
@@ -184,25 +190,22 @@ def _axial_rule(n_axial: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _verify_hemisphere(grid: HemisphereGrid, tol: float = 1e-10) -> None:
-    w = grid.pushforward_weights
-    mass = float(np.sum(grid.weights))
-    push = float(np.sum(w))
+def _verify_hemisphere(grid: HemisphereGrid) -> float:
+    """Certify ``sum_k w_k J_k D^t(k^2) = delta_{t0}`` for ``two_t <=
+    exactness_twice``.  A node at azimuth phi is its ring's node at phi = 0
+    turned about z, so ``D^t(k^2)_{mn}`` gains ``e^{-i (m - n) phi}``."""
+    top, n_phi = grid.exactness_twice, grid.shape[2]
+    w = grid.pushforward_weights.reshape(-1, n_phi)
+    phi = np.arctan2(grid.nodes[:n_phi, 2], grid.nodes[:n_phi, 1])
+    # f[p, q] = sum_phi w[p, phi] e^{-i (m - n) phi} at m - n = q / 2 - top
+    f = w @ np.exp(-0.5j * np.outer(phi, np.arange(-2 * top, 2 * top + 1)))
+    defect = _certify(
+        grid, grid.squared[::n_phi], lambda m, n: f[:, m - n + 2 * top], top
+    )
+    mass, push = float(np.sum(grid.weights)), float(np.sum(w))
     if abs(mass - 0.5) > 1e-12 or abs(push - 1.0) > 1e-12:
-        raise InvalidGrid(
-            f"hemisphere grid {grid.shape}: weight sums off "
-            f"(haar {mass:.15f}, pushforward {push:.15f})"
-        )
-    # The pushforward of the grid must reproduce Haar integrals over the
-    # whole group: sqrt(N_j) D^j_{mn}(k^2) integrates to delta_{j0}.
-    for two_j in range(1, grid.exactness_twice + 1):
-        d = irreps.dmatrix(two_j, grid.squared)
-        defect = float(np.max(np.abs(np.einsum("k,kmn->mn", w, d))))
-        if defect > tol:
-            raise InvalidGrid(
-                f"hemisphere grid {grid.shape} failed its exactness "
-                f"validation at two_j={two_j}: defect {defect:.3e}"
-            )
+        raise InvalidGrid(f"hemisphere {grid.shape} weight sums {mass}, {push}")
+    return defect
 
 
 @lru_cache(maxsize=None)
@@ -234,13 +237,9 @@ def hemisphere_grid(n_axial: int, n_theta: int, n_phi: int) -> HemisphereGrid:
     nodes = np.stack(
         [tt, r * sth * np.cos(ph), r * sth * np.sin(ph), r * cth], axis=-1
     ).reshape(-1, 4)
-    w = (
-        wt[:, None, None] * wth[None, :, None] * np.ones(n_phi)[None, None, :]
-    ).reshape(-1) / (np.pi * n_phi)
+    w = np.repeat(np.outer(wt, wth).reshape(-1), n_phi) / (np.pi * n_phi)
     if np.min(nodes[:, 0]) <= 0.0:
-        raise AntipodalNode(
-            "hemisphere grid placed a node on the singular equator a0 = 0"
-        )
+        raise AntipodalNode("hemisphere node on the singular equator a0 = 0")
     p_exact = min(n_axial - 1, 2 * n_theta - 1, n_phi - 1)
     grid = HemisphereGrid(
         shape=(n_axial, n_theta, n_phi),

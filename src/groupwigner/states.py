@@ -48,6 +48,11 @@ __all__ = [
     "load_state",
 ]
 
+#: largest doubled label that a state file (``jmax_twice``) or a CLI flag
+#: (``--jmax``, ``--jsum``) may carry; it is checked before anything is
+#: allocated for the label
+_MAX_TWO_J = 32
+
 
 @dataclass(frozen=True)
 class BlockState:
@@ -468,8 +473,8 @@ def state_from_payload(payload) -> DensityEnsemble:
     if payload.get("group") != "su2":
         raise SchemaError(f"unsupported group {payload.get('group')!r}")
     two_jmax = payload.get("jmax_twice")
-    if not _is_count(two_jmax) or two_jmax < 0:
-        raise SchemaError("'jmax_twice' must be a non-negative integer")
+    if not _is_count(two_jmax) or not 0 <= two_jmax <= _MAX_TWO_J:
+        raise SchemaError(f"'jmax_twice' must be an integer in 0..{_MAX_TWO_J}")
     if "blocks" in payload:
         return pure_ensemble(_blocks_from_payload(payload["blocks"], two_jmax))
     if "components" not in payload or "weights" not in payload:

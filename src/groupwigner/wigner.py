@@ -137,15 +137,16 @@ def _k_matrices(ks: np.ndarray, two_jmax: int) -> np.ndarray:
     )
 
 
-def _k_integrals(rho, gs: np.ndarray, kgrid, factors: list) -> list:
+def _k_integrals(rho, gs: np.ndarray, kgrid, factors: list, dk: np.ndarray) -> list:
     """Hemisphere integrals ``sum_k c[g, k] w[k] f[k, :]`` of the pair kernel
     ``c[g, k] = <g k| rho |g k^{-1}>``, one ``(G, F)`` array for each
-    ``(K, F)`` factor ``f``, with ``w`` the pushforward weights of ``kgrid``.
+    ``(K, F)`` factor ``f``, with ``w`` the pushforward weights of ``kgrid``
+    and ``dk`` the :func:`_k_matrices` of its nodes to at least ``rho``'s band.
 
     Chunks of ``_CHUNK`` group nodes meet chunks of hemisphere nodes sized
     so that no ``(g, k)`` array exceeds ``_PAIR_BYTES``.
     """
-    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
+    dk = dk[:, : _coefficient_count(rho.two_jmax)]
     wj = kgrid.pushforward_weights
     out = [np.zeros((gs.shape[0], f.shape[1]), dtype=complex) for f in factors]
     for sl in _chunks(gs.shape[0]):
@@ -174,7 +175,8 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     pair_factor = np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(
         kgrid.n_nodes, dim**4
     )
-    (x,) = _k_integrals(rho, gs, kgrid, [pair_factor])
+    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
+    (x,) = _k_integrals(rho, gs, kgrid, [pair_factor], dk)
     dgj = irreps.dmatrix(two_j, gs)
     return (two_j + 1.0) * np.einsum(
         "gma,ganbq,gpb->gmnpq", dgj, x.reshape((-1,) + (dim,) * 4), np.conj(dgj),
@@ -207,7 +209,8 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     gs = su2._as_elements(gs)
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    (x,) = _k_integrals(rho, gs, kgrid, [_dk2_factor(two_j, kgrid)])
+    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
+    (x,) = _k_integrals(rho, gs, kgrid, [_dk2_factor(two_j, kgrid)], dk)
     y_t = (two_j + 1.0) * x.reshape(-1, two_j + 1, two_j + 1)
     if variant == "right":
         return y_t
@@ -272,7 +275,8 @@ def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
     """
     twisted = su2.mul(su2.inverse(kgrid.squared), r)
     chi = np.stack([irreps.character(t, twisted) for t in range(two_jsum + 1)])
-    (sums,) = _k_integrals(rho, gs, kgrid, [chi.T])
+    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
+    (sums,) = _k_integrals(rho, gs, kgrid, [chi.T], dk)
     return sums * np.arange(1, two_jsum + 2, dtype=float)
 
 
@@ -423,8 +427,9 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
         y2 = _traced_kernels(rho2, ggrid.nodes, tensors, band)
     else:
         factors = [_dk2_factor(t, kgrid) for t in range(two_jsum + 1)]
-        y1 = _k_integrals(rho1, ggrid.nodes, kgrid, factors)
-        y2 = _k_integrals(rho2, ggrid.nodes, kgrid, factors)
+        dk = _k_matrices(kgrid.nodes, band)
+        y1 = _k_integrals(rho1, ggrid.nodes, kgrid, factors, dk)
+        y2 = _k_integrals(rho2, ggrid.nodes, kgrid, factors, dk)
     increments = np.array(
         [_label_term(t, ggrid.weights, v1, v2) for t, (v1, v2) in enumerate(zip(y1, y2))]
     )

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from groupwigner import cli, grids, states, su2, wigner
+from groupwigner.errors import ConfigError, SchemaError
 
 SU2_FAST = ["--grid", "10x5x20", "--jmax", "1", "--jsum", "4"]
 
@@ -215,6 +216,41 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg.write_bytes(b"\xff\xfe{}")
     code, _, err = run_cli(["verify", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--jmax", "100000"], ["--jsum", "100000"], ["--jmax", "33"], ["--jsum", "33"]],
+)
+def test_labels_past_the_maximum_are_config_errors(flags):
+    # resolved before any command runs, so nothing is allocated for them
+    args = cli.build_parser().parse_args(["verify", *flags])
+    with pytest.raises(ConfigError, match=r"0\.\.32"):
+        cli.resolve_config(args)
+
+
+def test_labels_at_the_maximum_are_accepted():
+    top = states._MAX_TWO_J
+    flags = ["--jmax", str(top), "--jsum", str(top)]
+    args = cli.build_parser().parse_args(["verify", *flags])
+    config = cli.resolve_config(args)
+    assert (config.jmax_twice, config.jsum_twice) == (top, top)
+    payload = {"group": "su2", "jmax_twice": top, "blocks": []}
+    assert states.state_from_payload(payload).two_jmax == top
+    with pytest.raises(SchemaError, match="jmax_twice"):
+        states.state_from_payload({**payload, "jmax_twice": top + 1})
+
+
+def test_huge_labels_exit_2_with_one_error_line(tmp_path, capsys):
+    state = write_json(tmp_path / "s.json", uniform_state_payload())
+    huge = write_json(
+        tmp_path / "huge.json", {**uniform_state_payload(), "jmax_twice": 10**18}
+    )
+    for argv in (["overlap", "--jsum", "100000", state, state], ["wigner", huge]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_unknown_flag_exits_2():

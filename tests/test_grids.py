@@ -150,16 +150,82 @@ def test_hemisphere_grid_inversion_closed():
     assert np.array_equal(np.sort(partner), np.arange(grid.n_nodes))
 
 
-def test_hemisphere_grid_pushforward_annihilates_irreps():
+def _node_by_node_defect(weights, elements, top):
+    """Largest ``|sum_x w_x D^t(x) - delta_t0|`` over ``two_t <= top``,
+    summed one node at a time: the reference for the factored certificates."""
+    defect = abs(np.sum(weights) - 1.0)
+    for two_t in range(1, top + 1):
+        moment = np.einsum("k,kmn->mn", weights, irreps.dmatrix(two_t, elements))
+        defect = max(defect, np.max(np.abs(moment)))
+    return defect
+
+
+@pytest.mark.parametrize(
+    "shape", [(7, 4, 8), (15, 8, 16), (31, 16, 32), (9, 3, 10)],
+    ids=["7x4x8", "for6", "for14", "9x3x10"],
+)
+def test_hemisphere_grid_pushforward_annihilates_irreps(shape):
     # sum_k w_k jac_k D^t(k^2) must equal the Haar integral of D^t over the
     # whole group: the identity for t = 0 and zero for every t >= 1
-    grid = grids.hemisphere_grid_for(6)
-    w = grid.pushforward_weights
-    assert_allclose(np.sum(w), 1.0, atol=1e-12)
-    for two_t in range(1, grid.exactness_twice + 1):
-        d = irreps.dmatrix(two_t, grid.squared)
-        defect = np.einsum("k,kmn->mn", w, d)
-        assert np.max(np.abs(defect)) < 1e-10
+    grid = grids.hemisphere_grid(*shape)
+    per_node = _node_by_node_defect(
+        grid.pushforward_weights, grid.squared, grid.exactness_twice
+    )
+    assert per_node < 1e-10
+    assert abs(grids._verify_hemisphere(grid) - per_node) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["haar", "hemisphere"])
+def test_certificates_match_node_by_node_sums_on_noisy_weights(kind, monkeypatch):
+    # zero-sum noise on every torus fibre keeps the weight sums, and every
+    # moment it leaves must be the one summed node by node
+    monkeypatch.setattr(grids, "_TOL", np.inf)
+    if kind == "haar":
+        grid, fibre = grids.haar_grid_for_degree(2), (0, 2)
+    else:
+        grid, fibre = grids.hemisphere_grid(15, 8, 16), 2
+    noise = np.random.default_rng(3).normal(scale=1e-6, size=grid.shape)
+    noise -= noise.mean(axis=fibre, keepdims=True)
+    grid = dataclasses.replace(grid, weights=grid.weights + noise.reshape(-1))
+    if kind == "haar":
+        factored = grids._verify_haar(grid)
+        want = _node_by_node_defect(grid.weights, grid.nodes, 4 * grid.exactness_degree)
+    else:
+        factored = grids._verify_hemisphere(grid)
+        want = _node_by_node_defect(
+            grid.pushforward_weights, grid.squared, grid.exactness_twice
+        )
+    assert want > 1e-8
+    assert abs(factored - want) <= 1e-13
+
+
+@pytest.mark.parametrize("shift", [[1e-8, 0.0], [1e-8, -1e-8]], ids=["one", "moved"])
+def test_verify_hemisphere_rejects_a_perturbed_weight(shift):
+    # nodes 100 and 101 share one phi ring, so "moved" keeps every weight
+    # sum and breaks only the azimuthal product structure
+    grid = grids.hemisphere_grid_for(14)
+    assert grid.shape[2] == 32 and 100 // 32 == 101 // 32
+    weights = grid.weights.copy()
+    weights[[100, 101]] += shift
+    with pytest.raises(InvalidGrid, match="moment defect"):
+        grids._verify_hemisphere(dataclasses.replace(grid, weights=weights))
+
+
+def test_hemisphere_certificate_evaluates_irreps_on_one_plane(monkeypatch):
+    # the certificate evaluates D^t on the n_axial x n_theta squared nodes of
+    # one phi value, never on the whole grid
+    seen = []
+    dmatrix = irreps.dmatrix
+
+    def counting(two_j, g):
+        seen.append(np.shape(g)[0])
+        return dmatrix(two_j, g)
+
+    monkeypatch.setattr(irreps, "dmatrix", counting)
+    grids.hemisphere_grid.cache_clear()
+    grid = grids.hemisphere_grid_for(14)
+    assert len(seen) == grid.exactness_twice + 1
+    assert max(seen) <= grid.shape[0] * grid.shape[1]
 
 
 def test_hemisphere_grid_pushforward_squared_moments():
@@ -190,7 +256,7 @@ def test_haar_certificate_agrees_with_full_gram(degree):
     # the factored moment test and the full Gram matrix on the quaternion
     # nodes (the orthogonality check of verify) both certify the grid
     grid = grids.haar_grid_for_degree(degree)
-    grids._verify_haar(grid, tol=1e-10)
+    assert grids._verify_haar(grid) < 1e-10
     config = cli.RunConfig(grid_shape=grid.shape, jmax_twice=2 * degree)
     entry = cli._check_orthogonality(config, np.random.default_rng(0))
     assert entry["error"] < 1e-10

@@ -366,6 +366,23 @@ def test_direct_overlap_memory_is_bounded_by_its_chunks():
     assert peak < bound
 
 
+def test_direct_overlap_builds_dk_once(monkeypatch):
+    # both ensembles, of bands 2 and 1, read one D(k) built to band 2
+    calls = []
+    build = wigner._k_matrices
+
+    def counting(ks, two_jmax):
+        calls.append((len(ks), two_jmax))
+        return build(ks, two_jmax)
+
+    monkeypatch.setattr(wigner, "_k_matrices", counting)
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 0)
+    gg = grids.haar_grid_for_degree(2)
+    kg = _kgrid(2, 4)
+    wigner.overlap_trace(_random_pure(50, 1), _random_ensemble(51, 2), 4, gg, kg)
+    assert calls == [(kg.n_nodes, 2)]
+
+
 def test_overlap_tensors_keep_one_band_per_grid():
     gg = grids.haar_grid_for_degree(2)
     kg = dataclasses.replace(_kgrid(2, 4))
