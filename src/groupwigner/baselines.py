@@ -58,8 +58,9 @@ class CartesianState:
     """Wavefunction samples on the uniform grid ``q_i = -L + i * dq``,
     ``dq = 2 L / n`` (right endpoint excluded).
 
-    The trapezoid norm must be 1 within 1e-8.  Unless ``periodic`` is set,
-    the samples must decay below 1e-8 absolute at the domain edge.
+    The norm, by the trapezoid rule (the rectangle rule, over one period,
+    if ``periodic`` is set), must be 1 within 1e-8.  Unless ``periodic`` is
+    set, the samples must decay below 1e-8 absolute at the domain edge.
     """
 
     values: np.ndarray
@@ -73,12 +74,11 @@ class CartesianState:
         if not 0 < self.half_width < np.inf:
             raise ValueError("half_width must be positive and finite")
         object.__setattr__(self, "values", values)
-        dq = self.dq
-        norm2 = float(np.trapezoid(np.abs(values) ** 2, dx=dq))
+        density = np.abs(values) ** 2
         if self.periodic:
-            # trapezoid on a periodic sequence double-counts nothing; use
-            # the rectangle rule, identical up to the missing wrap sample
-            norm2 = float(np.sum(np.abs(values) ** 2) * dq)
+            norm2 = float(np.sum(density) * self.dq)
+        else:
+            norm2 = float(np.trapezoid(density, dx=self.dq))
         if not abs(norm2 - 1.0) <= 1e-8:
             raise ValueError(f"state norm^2 = {norm2!r}, must be 1 within 1e-8")
         if not self.periodic:
@@ -117,94 +117,61 @@ def cartesian_p_grid(state: CartesianState) -> np.ndarray:
     return np.pi * (np.arange(n) - n // 2) / (n * state.dq)
 
 
-def _nearest_index(state: CartesianState, q: float) -> int:
-    if abs(q) > state.half_width:
-        raise OutOfDomain(
-            f"q = {q!r} outside the domain [-{state.half_width}, "
-            f"{state.half_width})"
-        )
-    i = int(round((q + state.half_width) / state.dq))
-    if not 0 <= i < state.n:
-        raise OutOfDomain(f"q = {q!r} has no grid node")
-    return i
+# q nodes whose two-point products are formed at once: bounds the
+# (nodes x shifts) arrays of a whole-grid table to a few MB
+_Q_CHUNK = 256
 
 
-def _pair_products(state: CartesianState, i: int):
-    """``psi(q_i - j dq) psi*(q_i + j dq)`` over the symmetric shift window.
-
-    Non-periodic states are zero-padded outside the grid; periodic states
-    wrap indices, with the shift window kept open (|j| < n/2) so each
-    relative separation is counted once.
-    """
-    n = state.n
-    psi = state.values
-    if state.periodic:
-        jmax = (n - 1) // 2 if n % 2 else n // 2
-        j = np.arange(-jmax, jmax + 1)
-        prod = psi[(i - j) % n] * np.conj(psi[(i + j) % n])
-        if n % 2 == 0:
-            # the two window endpoints are aliases of one sample; half-weight
-            # them so the window covers exactly one period
-            prod[0] *= 0.5
-            prod[-1] *= 0.5
-    else:
-        jmax = n - 1
-        j = np.arange(-jmax, jmax + 1)
-        lo = i - j
-        hi = i + j
-        ok = (lo >= 0) & (lo < n) & (hi >= 0) & (hi < n)
-        prod = np.zeros(j.size, dtype=complex)
-        prod[ok] = psi[lo[ok]] * np.conj(psi[hi[ok]])
-    return j, prod
-
-
-def cartesian_wigner(state: CartesianState, q: float, p) -> np.ndarray:
-    """Wigner value ``W(q, p)``: the discrete partial Fourier transform
+def cartesian_wigner(state: CartesianState, q, p) -> np.ndarray:
+    """Wigner values ``W(q, p)``: the discrete partial Fourier transform
 
         W = (dq / pi) sum_j psi(q - j dq) psi*(q + j dq) exp(2 i p j dq)
 
-    evaluated at the grid node nearest ``q``; ``p`` may be an array.
-    Real up to roundoff; the real part is returned.
+    evaluated at the grid node nearest each ``q``.  ``q`` and ``p`` may be
+    arrays; the result has shape ``q.shape + p.shape``.  A ``q`` outside
+    ``[-L, L]``, or one that rounds to the excluded node at ``+L``, raises
+    :class:`OutOfDomain`.
+
+    Non-periodic states are zero-padded outside the grid; periodic states
+    wrap indices over one period of shifts, ``|j| <= n // 2``, the two ends
+    of an even window half-weighted as aliases of one sample.  The phase
+    matrix is built once; the products are formed ``_Q_CHUNK`` nodes at a
+    time.  Real up to roundoff; the real part is returned.
     """
-    i = _nearest_index(state, q)
-    j, prod = _pair_products(state, i)
+    q = np.asarray(q, dtype=float)
+    outside = ~(np.abs(q) <= state.half_width)
+    if outside.any():
+        raise OutOfDomain(
+            f"q = {float(q[outside][0])!r} outside the domain "
+            f"[-{state.half_width}, {state.half_width})"
+        )
+    nodes = np.rint((q + state.half_width) / state.dq).astype(int)
+    if (nodes >= state.n).any():
+        raise OutOfDomain(f"q = {float(q[nodes >= state.n][0])!r} has no grid node")
     p = np.asarray(p, dtype=float)
-    phases = np.exp(2j * state.dq * np.multiply.outer(p, j))
-    out = (state.dq / np.pi) * (phases @ prod)
-    return out.real
+    n = state.n
+    psi = state.values
+    jmax = n // 2 if state.periodic else n - 1
+    j = np.arange(-jmax, jmax + 1)
+    phases = np.exp(2j * state.dq * np.multiply.outer(j, p.ravel()))
+    rows = nodes.ravel()
+    out = np.empty((rows.size, p.size))
+    for lo in range(0, rows.size, _Q_CHUNK):
+        i = rows[lo : lo + _Q_CHUNK, None]
+        prods = psi[(i - j) % n] * np.conj(psi[(i + j) % n])
+        if not state.periodic:
+            prods[np.abs(j) > np.minimum(i, n - 1 - i)] = 0.0
+        elif n % 2 == 0:
+            prods[:, [0, -1]] *= 0.5
+        out[lo : lo + _Q_CHUNK] = (state.dq / np.pi) * (prods @ phases).real
+    return out.reshape(q.shape + p.shape)
 
 
 def cartesian_wigner_table(state: CartesianState, p=None) -> np.ndarray:
     """Wigner values on the full (q-grid) x (p-grid) product; ``p`` defaults
-    to :func:`cartesian_p_grid`.  Shape ``(n_q, n_p)``.
-
-    Equivalent to evaluating :func:`cartesian_wigner` at every grid node,
-    but batched: the two-point products for all nodes are gathered at once
-    and the shift transform is a single matrix product.
-    """
-    if p is None:
-        p = cartesian_p_grid(state)
-    p = np.asarray(p, dtype=float)
-    n = state.n
-    psi = state.values
-    if state.periodic:
-        jmax = (n - 1) // 2 if n % 2 else n // 2
-    else:
-        jmax = n - 1
-    j = np.arange(-jmax, jmax + 1)
-    i = np.arange(n)
-    lo = i[:, None] - j[None, :]
-    hi = i[:, None] + j[None, :]
-    if state.periodic:
-        prods = psi[lo % n] * np.conj(psi[hi % n])
-        if n % 2 == 0:
-            prods[:, 0] *= 0.5
-            prods[:, -1] *= 0.5
-    else:
-        ok = (lo >= 0) & (lo < n) & (hi >= 0) & (hi < n)
-        prods = np.where(ok, psi[lo.clip(0, n - 1)] * np.conj(psi[hi.clip(0, n - 1)]), 0.0)
-    phases = np.exp(2j * state.dq * np.multiply.outer(j, p))
-    return (state.dq / np.pi) * (prods @ phases).real
+    to :func:`cartesian_p_grid`.  Shape ``(n_q, n_p)``: :func:`cartesian_wigner`
+    at every grid node."""
+    return cartesian_wigner(state, state.q, cartesian_p_grid(state) if p is None else p)
 
 
 def cartesian_momentum_amplitude(state: CartesianState, p) -> np.ndarray:

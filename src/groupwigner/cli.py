@@ -18,7 +18,7 @@ Three subcommands:
     phase-space partial sums over irrep labels and reports the gap.
 
 Exit codes: 0 all checks pass, 1 a check or gap failed its tolerance,
-2 usage, configuration, or schema errors.  Every command is deterministic
+2 usage, configuration, schema or memory errors.  Every command is deterministic
 given (config, seed), and the resolved configuration is echoed verbatim in
 the output metadata so a run can be reproduced bit-identically.
 """
@@ -732,9 +732,7 @@ def _cartesian_table(config, state_file, nodes_file):
         payload = _load_json(nodes_file)
         qs = _nodes_array(payload, "q")
         ps = _nodes_array(payload, "p")
-    table = np.array(
-        [baselines.cartesian_wigner(state, q, ps) for q in qs.tolist()]
-    ).reshape(qs.size, ps.size)
+    table = baselines.cartesian_wigner(state, qs, ps)
     chunk = ([[q] for q in qs.tolist()], [[p] for p in ps.tolist()], table)
     return [chunk], ["q", "p", "re", "im"], {}
 
@@ -881,6 +879,9 @@ def main(argv=None) -> int:
         return 2
     except GroupWignerError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

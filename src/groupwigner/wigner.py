@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _CHUNK = 512
+#: first pair members per block of ``wigner_bruteforce_mollified``
+_ORACLE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -463,7 +465,7 @@ def reconstruct_kernel(rho, g1, g2, two_jsum: int, kgrid, variant: str = "left")
     return complex(increments.sum()), increments
 
 
-def wigner_bruteforce_mollified(rho, g, two_j: int, epsilons, grid, chunk: int = 64):
+def wigner_bruteforce_mollified(rho, g, two_j: int, epsilons, grid):
     """Oracle evaluation of the defining pair-space double integral.
 
     The mid-point constraint is mollified with a geodesic Gaussian of width
@@ -490,8 +492,7 @@ def wigner_bruteforce_mollified(rho, g, two_j: int, epsilons, grid, chunk: int =
     w_acc = np.zeros((len(eps), dim * dim, dim * dim), dtype=complex)
     z_acc = np.zeros(len(eps))
     inv_eps2 = 1.0 / eps**2
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
+    for sl in _chunks(n, _ORACLE_CHUNK):
         a_nodes = nodes[sl]
         dots = a_nodes @ nodes.T
         usable = (1.0 + dots) > su2.ANTIPODAL_EPS

@@ -41,6 +41,21 @@ def test_cartesian_state_validation():
     assert per.periodic
 
 
+def test_cartesian_state_norm_rule():
+    # non-periodic states are normed by the trapezoid rule, periodic ones by
+    # the rectangle rule over one period; the two differ by the edge samples
+    n, half_width = 8, 2.0
+    dq = 2.0 * half_width / n
+    edged = np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0], dtype=complex)
+    rect = edged / np.sqrt(2.0 * dq)
+    trap = edged / np.sqrt(dq)
+    assert baselines.CartesianState(rect, half_width, periodic=True).periodic
+    with pytest.raises(ValueError, match="norm"):
+        baselines.CartesianState(trap, half_width, periodic=True)
+    inner = np.array([0, 1.0, 0, 0, 0, 0, 1.0, 0], dtype=complex) / np.sqrt(2.0 * dq)
+    assert not baselines.CartesianState(inner, half_width).periodic
+
+
 def test_cartesian_grid_frozen():
     assert_allclose(baselines.cartesian_grid(4, 2.0), [-2.0, -1.0, 0.0, 1.0])
     # conjugate grid for n = 4, L = 2 (dq = 1): pi (l - 2) / 4
@@ -79,6 +94,25 @@ def test_cartesian_wigner_single_point_matches_table():
     i = int(round((0.5 + 8.0) / state.dq))
     table = baselines.cartesian_wigner_table(state, ps)
     assert_allclose(got, table[i], atol=1e-13)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["padded", "periodic"])
+def test_cartesian_wigner_array_q_matches_table_rows(periodic):
+    if periodic:
+        state = baselines.plane_wave_state(255, 8.0, 2.0)
+    else:
+        state = baselines.oscillator_state(1, n=256)
+    qs = np.array([[-8.0, -3.26, 0.5], [0.03, 2.0, 7.9]])
+    ps = np.array([-0.7, 0.0, 1.3, 4.0])
+    got = baselines.cartesian_wigner(state, qs, ps)
+    assert got.shape == (2, 3, 4)
+    nodes = np.rint((qs + 8.0) / state.dq).astype(int)
+    table = baselines.cartesian_wigner_table(state, ps)
+    # the same transform on other row blocks: equal up to the BLAS summation
+    assert_allclose(got, table[nodes], rtol=0, atol=1e-15)
+    assert baselines.cartesian_wigner(state, 0.5, 0.0).shape == ()
+    assert baselines.cartesian_wigner(state, qs, 0.0).shape == (2, 3)
+    assert baselines.cartesian_wigner(state, [], ps).shape == (0, 4)
 
 
 def test_cartesian_marginals():
@@ -127,6 +161,24 @@ def test_cartesian_out_of_domain():
     # the left endpoint is a grid node and must be accepted
     w = baselines.cartesian_wigner(state, -8.0, 0.0)
     assert abs(float(w)) < 1e-12
+    ps = np.array([0.0, 1.0])
+    for state in (
+        baselines.oscillator_state(0, n=256),
+        baselines.plane_wave_state(256, 8.0, 2.0),
+    ):
+        # +L is the excluded right endpoint, and a q just below it rounds to
+        # its node n; a periodic state must not wrap either onto node 0
+        edges = (8.0, 8.0 - 0.4 * state.dq, 8.0 + 1e-9, 9.0, -8.0 - 1e-9, -9.0, np.nan)
+        for q in edges:
+            with pytest.raises(OutOfDomain):
+                baselines.cartesian_wigner(state, q, 0.0)
+            with pytest.raises(OutOfDomain):
+                baselines.cartesian_wigner(state, np.array([0.0, q]), ps)
+        # the left endpoint is node 0, as is a q rounding down to it
+        left = baselines.cartesian_wigner(state, [-8.0, -8.0 + 0.4 * state.dq], ps)
+        row = baselines.cartesian_wigner_table(state, ps)[0]
+        assert_allclose(left, [row, row], rtol=0, atol=1e-15)
+        assert_allclose(baselines.cartesian_wigner(state, -8.0, ps), row, rtol=0, atol=1e-15)
 
 
 def test_cartesian_payload_round_trip():

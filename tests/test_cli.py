@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from groupwigner import cli, grids, states, su2, wigner
+from groupwigner import baselines, cli, grids, states, su2, wigner
 from groupwigner.errors import ConfigError, SchemaError
 
 SU2_FAST = ["--grid", "10x5x20", "--jmax", "1", "--jsum", "4"]
@@ -253,6 +253,55 @@ def test_huge_labels_exit_2_with_one_error_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [
+        MemoryError(),
+        # what numpy raises when an allocation fails
+        np._core._exceptions._ArrayMemoryError((154904, 144), np.dtype(complex)),
+    ],
+    ids=["plain", "numpy"],
+)
+def test_memory_error_exits_2_with_one_error_line(capsys, monkeypatch, exc):
+    def starved(config, rng):
+        raise exc
+
+    checks = list(cli._SU2_CHECKS)
+    checks[1] = starved
+    monkeypatch.setattr(cli, "_SU2_CHECKS", checks)
+    code, out, err = run_cli(["verify", *SU2_FAST], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: MemoryError") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_wigner_memory_error_mid_export_leaves_no_file(tmp_path, capsys, monkeypatch):
+    full_batch = wigner.wigner_full_batch
+    calls = []
+
+    def starving(rho, gs, two_j, kgrid):
+        calls.append(two_j)
+        if len(calls) > 1:
+            raise MemoryError("Unable to allocate 31.0 GiB")
+        return full_batch(rho, gs, two_j, kgrid)
+
+    monkeypatch.setattr(wigner, "wigner_full_batch", starving)
+    state = write_json(tmp_path / "uniform.json", uniform_state_payload())
+    nodes = write_json(tmp_path / "g.json", {"euler": [[0.3, 0.7, 1.1]]})
+    for fmt in ("json", "csv"):
+        calls.clear()
+        out_path = tmp_path / f"table.{fmt}"
+        code, out, err = run_cli(
+            ["wigner", "--jsum", "1", "--format", fmt, "--out", str(out_path),
+             state, nodes],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert calls == [0, 1]  # the first chunk was written before the failure
+        assert err == "error: MemoryError: Unable to allocate 31.0 GiB\n"
+        assert not out_path.exists()
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--frobnicate"])
@@ -311,6 +360,38 @@ def test_wigner_cartesian_nodes(tmp_path, capsys):
     report = json.loads(out)
     for q_val, p_val, re, im in report["rows"]:
         assert_allclose(re, np.exp(-(q_val**2) - p_val**2) / np.pi, atol=1e-8)
+
+
+def test_wigner_cartesian_default_nodes_are_the_table(tmp_path, capsys):
+    osc = baselines.oscillator_state(1, n=256)
+    state = write_json(tmp_path / "osc.json", baselines.cartesian_to_payload(osc))
+    code, out, _ = run_cli(["wigner", "--group", "cartesian", state], capsys)
+    assert code == 0
+    assert_dump_bytes(out)
+    rows = json.loads(out)["rows"]
+    qs, ps = osc.q.tolist(), baselines.cartesian_p_grid(osc).tolist()
+    assert [row[:2] for row in rows] == [[q, p] for q in qs for p in ps]
+    assert [row[2] for row in rows] == baselines.cartesian_wigner_table(osc).ravel().tolist()
+    assert all(row[3] == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["padded", "periodic"])
+def test_wigner_cartesian_right_edge_node_exits_2(tmp_path, capsys, periodic):
+    # q = +L rounds to the excluded node n; a periodic state must not wrap it
+    if periodic:
+        osc = baselines.plane_wave_state(128, 8.0, 2.0)
+    else:
+        osc = baselines.oscillator_state(0, n=128)
+    state = write_json(tmp_path / "osc.json", baselines.cartesian_to_payload(osc))
+    nodes = write_json(tmp_path / "qp.json", {"q": [0.0, 8.0], "p": [0.0]})
+    out_path = tmp_path / "table.json"
+    code, out, err = run_cli(
+        ["wigner", "--group", "cartesian", "--out", str(out_path), state, nodes],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: OutOfDomain: q = 8.0 has no grid node\n"
+    assert not out_path.exists()
 
 
 def test_wigner_su2_uniform_state_frozen(tmp_path, capsys):
