@@ -268,18 +268,17 @@ def angle_wigner_table(state: AngleState, thetas, ms) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     ms = np.asarray(ms, dtype=int)
     c = state.coeffs
-    mv = state.m_values
-    # pair structure: for each (mu, nu), frequency mu - nu in theta and
-    # kernel weight by q = mu + nu - 2 m
-    mu = mv[:, None]
-    nu = mv[None, :]
-    amp = c[:, None] * np.conj(c)[None, :]
-    freq = (mu - nu).ravel()
-    qgrid = (mu + nu).ravel()[:, None] - 2 * ms[None, :]
-    kern = _angle_kernel(qgrid) * amp.ravel()[:, None]
-    phases = np.exp(1j * np.multiply.outer(thetas, freq))
-    table = phases @ kern
-    return table.real
+    n = c.size
+    # a coefficient pair (mu, nu) enters with the phase exp(i (mu - nu)
+    # theta) and the kernel at q = mu + nu - 2m, so the pairs are summed by
+    # s = mu + nu first, leaving one kernel matrix over (s, m); the phase
+    # columns run over mu - nu = n-1 .. 1-n, so a pure mode stays exact
+    phase = np.exp(1j * np.multiply.outer(thetas, np.arange(n - 1, -n, -1)))
+    a = np.zeros(phase.shape, dtype=complex)
+    for i in range(n):
+        a[..., i : i + n] += c[i] * np.conj(c) * phase[..., n - 1 - i : 2 * n - 1 - i]
+    s = 2 * state.m_min + np.arange(2 * n - 1)
+    return a.real @ _angle_kernel(s[:, None] - 2 * ms[None, :])
 
 
 def angle_wigner(state: AngleState, theta: float, m: int) -> float:

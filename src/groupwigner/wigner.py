@@ -133,24 +133,25 @@ def _coefficients(state, gs: np.ndarray, two_jmax: int):
 def _k_matrices(ks: np.ndarray, two_jmax: int) -> np.ndarray:
     """``D^t(k)`` for ``t <= two_jmax``, flattened over ``(t, a, c)`` like
     :func:`_coefficients`: shape ``(K, n)``."""
-    return np.concatenate(
-        [irreps.dmatrix(t, ks).reshape(ks.shape[0], -1) for t in range(two_jmax + 1)],
-        axis=1,
-    )
+    out = np.empty((ks.shape[0], _coefficient_count(two_jmax)), dtype=complex)
+    for t in range(two_jmax + 1):
+        lo = _coefficient_count(t - 1)
+        out[:, lo : lo + (t + 1) ** 2] = irreps.dmatrix(t, ks).reshape(ks.shape[0], -1)
+    return out
 
 
-def _k_integrals(rho, gs: np.ndarray, kgrid, factors: list, dk: np.ndarray) -> list:
-    """Hemisphere integrals ``sum_k c[g, k] w[k] f[k, :]`` of the pair kernel
-    ``c[g, k] = <g k| rho |g k^{-1}>``, one ``(G, F)`` array for each
-    ``(K, F)`` factor ``f``, with ``w`` the pushforward weights of ``kgrid``
-    and ``dk`` the :func:`_k_matrices` of its nodes to at least ``rho``'s band.
+def _k_integrals(rho, gs: np.ndarray, kgrid, factor: np.ndarray, dk: np.ndarray):
+    """Hemisphere integral ``sum_k c[g, k] w[k] f[k, :]`` of the pair kernel
+    ``c[g, k] = <g k| rho |g k^{-1}>`` against a ``(K, F)`` factor ``f``,
+    shape ``(G, F)``, with ``w`` the pushforward weights of ``kgrid`` and
+    ``dk`` the :func:`_k_matrices` of its nodes to at least ``rho``'s band.
 
     Chunks of ``_CHUNK`` group nodes meet chunks of hemisphere nodes sized
     so that no ``(g, k)`` array exceeds ``_PAIR_BYTES``.
     """
     dk = dk[:, : _coefficient_count(rho.two_jmax)]
     wj = kgrid.pushforward_weights
-    out = [np.zeros((gs.shape[0], f.shape[1]), dtype=complex) for f in factors]
+    out = np.zeros((gs.shape[0], factor.shape[1]), dtype=complex)
     for sl in _chunks(gs.shape[0]):
         coefficients = [
             (w, *_coefficients(state, gs[sl], rho.two_jmax))
@@ -159,8 +160,7 @@ def _k_integrals(rho, gs: np.ndarray, kgrid, factors: list, dk: np.ndarray) -> l
         for ks in _chunks(kgrid.n_nodes, _PAIR_BYTES // (16 * _CHUNK)):
             c = sum(w * (u @ dk[ks].T) * (v @ dk[ks].T) for w, u, v in coefficients)
             c *= wj[ks]
-            for o, f in zip(out, factors):
-                o[sl] += c @ f[ks]
+            out[sl] += c @ factor[ks]
     return out
 
 
@@ -177,8 +177,7 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     pair_factor = np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(
         kgrid.n_nodes, dim**4
     )
-    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
-    (x,) = _k_integrals(rho, gs, kgrid, [pair_factor], dk)
+    x = _k_integrals(rho, gs, kgrid, pair_factor, _k_matrices(kgrid.nodes, rho.two_jmax))
     dgj = irreps.dmatrix(two_j, gs)
     return (two_j + 1.0) * np.einsum(
         "gma,ganbq,gpb->gmnpq", dgj, x.reshape((-1,) + (dim,) * 4), np.conj(dgj),
@@ -193,13 +192,6 @@ def wigner_full(rho, g, two_j: int, kgrid) -> WignerBlock:
     return WignerBlock(g=g, two_j=two_j, values=values)
 
 
-def _dk2_factor(two_j: int, kgrid) -> np.ndarray:
-    """``conj(D^J(k^2))`` flattened row-major over ``(b, a)``: its
-    hemisphere integral against the pair kernel is ``Y(g)^T / N_J``, since
-    ``D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})``."""
-    return np.conj(irreps.dmatrix(two_j, kgrid.squared)).reshape(kgrid.n_nodes, -1)
-
-
 def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     """Partially traced distribution at many points, shape ``(G, 2J+1, 2J+1)``.
 
@@ -211,8 +203,10 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     gs = su2._as_elements(gs)
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
-    (x,) = _k_integrals(rho, gs, kgrid, [_dk2_factor(two_j, kgrid)], dk)
+    # conj(D^J(k^2)) flattened over (b, a): its integral against the pair
+    # kernel is Y(g)^T / N_J, since D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})
+    factor = np.conj(irreps.dmatrix(two_j, kgrid.squared)).reshape(kgrid.n_nodes, -1)
+    x = _k_integrals(rho, gs, kgrid, factor, _k_matrices(kgrid.nodes, rho.two_jmax))
     y_t = (two_j + 1.0) * x.reshape(-1, two_j + 1, two_j + 1)
     if variant == "right":
         return y_t
@@ -277,8 +271,7 @@ def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
     """
     twisted = su2.mul(su2.inverse(kgrid.squared), r)
     chi = np.stack([irreps.character(t, twisted) for t in range(two_jsum + 1)])
-    dk = _k_matrices(kgrid.nodes, rho.two_jmax)
-    (sums,) = _k_integrals(rho, gs, kgrid, [chi.T], dk)
+    sums = _k_integrals(rho, gs, kgrid, chi.T, _k_matrices(kgrid.nodes, rho.two_jmax))
     return sums * np.arange(1, two_jsum + 2, dtype=float)
 
 
@@ -303,62 +296,64 @@ def marginal_position(rho, g, two_jsum: int, kgrid):
     return values.reshape(lead), increments.reshape(lead + (two_jsum + 1,))
 
 
-#: largest set of overlap tensors, in bytes, that ``overlap_trace`` builds
-#: and keeps on one hemisphere grid; a larger set takes the direct path
+#: largest overlap tensor, in bytes, that ``overlap_trace`` builds and keeps
+#: on one hemisphere grid; a larger one takes the direct path
 _TENSOR_BYTES = 64 * 2**20
-#: largest ``(k, alpha, beta)`` or ``(g, alpha, beta)`` product array that
-#: it forms
+#: largest ``(k, alpha, beta)``, ``(g, alpha, beta)`` or ``(g, column, alpha)``
+#: product array that it forms
 _PAIR_BYTES = 16 * 2**20
 
 
-def _overlap_tensors(kgrid, two_jmax: int, two_jsum: int) -> list:
-    """Phase-space tensors ``T_J[(alpha, beta), (b, a)] = sum_k D_alpha(k)
-    D_beta(k) w[k] conj(D^J(k^2)_{ba})`` for ``2J <= two_jsum``, each of
-    shape ``(n^2, (2J+1)^2)`` over the flattened ``D(k)`` of
-    :func:`_k_matrices`, to be contracted as in :func:`_traced_kernels`.
+def _overlap_tensor(kgrid, two_jmax: int, two_jsum: int) -> np.ndarray:
+    """Phase-space tensor ``T[(alpha, beta), (t, b, a)] = sum_k D_alpha(k)
+    D_beta(k) w[k] conj(D^t(k^2)_{ba})`` for every label ``t <= two_jsum``,
+    stacked like the columns of :func:`_k_matrices`: shape ``(n^2,
+    sum_{t <= two_jsum} (t+1)^2)``, to be contracted as in
+    :func:`_traced_kernels`.
 
-    They depend on the hemisphere rule, the state band and the label, never
-    on the states.  They are kept on ``kgrid`` under ``(two_jmax, two_j)``,
-    for one band at a time.  Missing labels are built in one pass over
-    chunks of ``_CHUNK`` nodes, with the ``(k, alpha, beta)`` products formed
-    a few ``alpha`` at a time, so that none exceeds ``_PAIR_BYTES``.
+    It depends on the hemisphere rule and the state band, never on the
+    states.  It is kept on ``kgrid`` under the band, one band at a time; a
+    smaller cutoff reads its leading columns and a larger one rebuilds it.
+    It is stored column-major, so that a block of its columns is also a
+    ``[(column, alpha), beta]`` matrix without a copy.  It is built in one
+    pass over chunks of ``_CHUNK`` nodes, with the ``(k, alpha, beta)``
+    products formed a few ``alpha`` at a time, so that none exceeds
+    ``_PAIR_BYTES``.
     """
-    cache = kgrid._overlap_tensors
-    if any(band != two_jmax for band, _ in cache):
-        cache.clear()
-    missing = [t for t in range(two_jsum + 1) if (two_jmax, t) not in cache]
-    if missing:
+    columns = _coefficient_count(two_jsum)
+    tensor = kgrid._overlap_tensors.get(two_jmax)
+    if tensor is None or tensor.shape[1] < columns:
+        kgrid._overlap_tensors.clear()
         n = _coefficient_count(two_jmax)
-        built = {t: np.zeros((n * n, (t + 1) ** 2), dtype=complex) for t in missing}
+        tensor = np.zeros((n * n, columns), dtype=complex, order="F")
         wj = kgrid.pushforward_weights
         for sl in _chunks(kgrid.n_nodes):
             dk = _k_matrices(kgrid.nodes[sl], two_jmax)
             dkw = dk * wj[sl, None]
-            dk2 = {
-                t: np.conj(irreps.dmatrix(t, kgrid.squared[sl])).reshape(len(dk), -1)
-                for t in missing
-            }
+            dk2 = _k_matrices(kgrid.squared[sl], two_jsum)
+            np.conj(dk2, out=dk2)
             # P[k, (alpha, beta)] for a few alpha at a time
             for rows in _chunks(n, max(1, _PAIR_BYTES // (16 * _CHUNK * n))):
                 pair = (dk[:, rows, None] * dkw[:, None, :]).reshape(len(dk), -1)
-                for t, tensor in built.items():
-                    tensor[rows.start * n : rows.stop * n] += pair.T @ dk2[t]
-        cache.update({(two_jmax, t): tensor for t, tensor in built.items()})
-    return [cache[(two_jmax, t)] for t in range(two_jsum + 1)]
+                tensor[rows.start * n : rows.stop * n] += pair.T @ dk2
+        kgrid._overlap_tensors[two_jmax] = tensor
+    return tensor[:, :columns]
 
 
-def _traced_kernels(rho, gs: np.ndarray, tensors: list, two_jmax: int) -> list:
-    """``R(g) @ T_J`` for each tensor of :func:`_overlap_tensors`: the traced
-    kernels ``Y(g; J)^T / N_J`` of ``rho``, flattened, with
+def _traced_kernels(rho, gs: np.ndarray, tensor: np.ndarray, two_jmax: int):
+    """``R(g) @ T`` for the tensor of :func:`_overlap_tensor`: the traced
+    kernels ``Y(g; J)^T / N_J`` of every label, flattened and stacked like
+    its columns, with
 
         R[g, (alpha, beta)] = sum_s w_s u_s,alpha(g) v_s,beta(g).
 
     Over chunks of ``_CHUNK`` group nodes, ``R`` itself is formed only while
-    it fits in ``_PAIR_BYTES``; above that, each state's ``u(g)`` meets
-    ``T_J`` first and ``v(g)`` after.
+    it fits in ``_PAIR_BYTES``; above that, each state's ``v(g)`` meets a
+    block of the tensor's columns first and ``u(g)`` after, with blocks
+    sized so that no ``(g, column, alpha)`` array exceeds ``_PAIR_BYTES``.
     """
     n = _coefficient_count(two_jmax)
-    out = [np.empty((len(gs), t.shape[1]), dtype=complex) for t in tensors]
+    out = np.empty((len(gs), tensor.shape[1]), dtype=complex)
     for sl in _chunks(len(gs)):
         m = sl.stop - sl.start
         coefficients = [
@@ -367,25 +362,28 @@ def _traced_kernels(rho, gs: np.ndarray, tensors: list, two_jmax: int) -> list:
         ]
         if 16 * m * n * n <= _PAIR_BYTES:
             r = sum(w * (u[:, :, None] * v[:, None, :]) for w, u, v in coefficients)
-            for o, t in zip(out, tensors):
-                np.matmul(r.reshape(m, -1), t, out=o[sl])
-        else:
-            for o, t in zip(out, tensors):
-                o[sl] = sum(
-                    w * (v[:, None, :] @ (u @ t.reshape(n, -1)).reshape(m, n, -1))[:, 0]
-                    for w, u, v in coefficients
-                )
+            np.matmul(r.reshape(m, -1), tensor, out=out[sl])
+            continue
+        for cols in _chunks(tensor.shape[1], max(1, _PAIR_BYTES // (16 * m * n))):
+            # a view, since the tensor is stored column-major: [(c, alpha), beta]
+            t = tensor[:, cols].T.reshape(-1, n)
+            out[sl, cols] = sum(
+                w * ((v @ t.T).reshape(m, -1, n) @ u[:, :, None])[..., 0]
+                for w, u, v in coefficients
+            )
     return out
 
 
-def _label_term(two_j: int, wg: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> float:
-    """``(2J+1) sum_g w_g Re tr(V_1 V_2)`` for traced kernels flattened in
-    the ``[g, b, a]`` layout."""
-    d = two_j + 1
-    term = np.einsum(
-        "g,gab,gba->", wg, v1.reshape(-1, d, d), v2.reshape(-1, d, d), optimize=True
-    )
-    return d * term.real
+def _label_terms(wg: np.ndarray, y1: np.ndarray, y2: np.ndarray, two_jsum: int):
+    """``(2J+1) sum_g w_g Re tr(V_1 V_2)`` for every label ``2J <= two_jsum``
+    of traced kernels stacked like the columns of :func:`_overlap_tensor`,
+    each flattened in the ``[g, b, a]`` layout."""
+    t = np.repeat(np.arange(two_jsum + 1), np.arange(1, two_jsum + 2) ** 2)
+    lo = _coefficient_count(t - 1)
+    # column (t, b, a) of y1 meets column (t, a, b) of y2
+    b, a = np.divmod(np.arange(t.size) - lo, t + 1)
+    terms = np.einsum("g,gc,gc->c", wg, y1, y2[:, lo + a * (t + 1) + b]).real
+    return np.bincount(t, weights=terms) * np.arange(1, two_jsum + 2)
 
 
 def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"):
@@ -403,15 +401,15 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
 
     The pair kernel factorises as ``c[g, k] = R(g) . P(k)`` with
     ``P[k, (alpha, beta)] = D_alpha(k) D_beta(k)`` (see
-    :func:`_traced_kernels`), so the hemisphere integral of each label is a
-    state-independent tensor ``T_J`` (:func:`_overlap_tensors`).  When the
-    tensors for the state band and ``two_jsum`` fit in ``_TENSOR_BYTES``,
-    they are built on the first call and kept on ``kgrid``, and what is
-    left per state and label is ``R(g) @ T_J`` over the group grid; the
-    state of lower band is padded with zeros to the larger band.
-    Otherwise each traced kernel is the hemisphere integral of its pair
-    kernel against ``conj(D^J(k^2))`` for every label
-    (:func:`_k_integrals`), and nothing is kept.
+    :func:`_traced_kernels`), so the hemisphere integral of every label is
+    one state-independent tensor ``T`` (:func:`_overlap_tensor`).  When the
+    tensor for the state band and ``two_jsum`` fits in ``_TENSOR_BYTES``, it
+    is built on the first call and kept on ``kgrid``, and what is left per
+    state is ``R(g) @ T`` over the group grid; the state of lower band is
+    padded with zeros to the larger band.  Otherwise the traced kernels are
+    the hemisphere integrals of the pair kernels against the stacked
+    ``conj(D^J(k^2))`` of every label (:func:`_k_integrals`), and nothing
+    is kept.
     """
     rho1 = as_ensemble(rho1)
     rho2 = as_ensemble(rho2)
@@ -424,17 +422,16 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     _require_kgrid(band, two_jsum, kgrid)
     n = _coefficient_count(band)
     if 16 * n * n * _coefficient_count(two_jsum) <= _TENSOR_BYTES:
-        tensors = _overlap_tensors(kgrid, band, two_jsum)
-        y1 = _traced_kernels(rho1, ggrid.nodes, tensors, band)
-        y2 = _traced_kernels(rho2, ggrid.nodes, tensors, band)
+        tensor = _overlap_tensor(kgrid, band, two_jsum)
+        y1 = _traced_kernels(rho1, ggrid.nodes, tensor, band)
+        y2 = _traced_kernels(rho2, ggrid.nodes, tensor, band)
     else:
-        factors = [_dk2_factor(t, kgrid) for t in range(two_jsum + 1)]
+        factor = _k_matrices(kgrid.squared, two_jsum)
+        np.conj(factor, out=factor)
         dk = _k_matrices(kgrid.nodes, band)
-        y1 = _k_integrals(rho1, ggrid.nodes, kgrid, factors, dk)
-        y2 = _k_integrals(rho2, ggrid.nodes, kgrid, factors, dk)
-    increments = np.array(
-        [_label_term(t, ggrid.weights, v1, v2) for t, (v1, v2) in enumerate(zip(y1, y2))]
-    )
+        y1 = _k_integrals(rho1, ggrid.nodes, kgrid, factor, dk)
+        y2 = _k_integrals(rho2, ggrid.nodes, kgrid, factor, dk)
+    increments = _label_terms(ggrid.weights, y1, y2, two_jsum)
     return float(increments.sum()), increments
 
 
@@ -492,13 +489,13 @@ def wigner_bruteforce_mollified(rho, g, two_j: int, epsilons, grid):
     w_acc = np.zeros((len(eps), dim * dim, dim * dim), dtype=complex)
     z_acc = np.zeros(len(eps))
     inv_eps2 = 1.0 / eps**2
+    # the mid-point (a + b) / |a + b| meets g at (a.g + b.g) / |a + b|
+    node_g = nodes @ g
     for sl in _chunks(n, _ORACLE_CHUNK):
-        a_nodes = nodes[sl]
-        dots = a_nodes @ nodes.T
+        dots = nodes[sl] @ nodes.T
         usable = (1.0 + dots) > su2.ANTIPODAL_EPS
         denom = np.sqrt(np.where(usable, 2.0 * (1.0 + dots), 1.0))
-        mids = (a_nodes[:, None, :] + nodes[None, :, :]) / denom[..., None]
-        dist = np.arccos(np.clip(mids @ g, -1.0, 1.0))
+        dist = np.arccos(np.clip((node_g[sl, None] + node_g) / denom, -1.0, 1.0))
         kern = np.zeros(dist.shape, dtype=complex)
         for wt, psi in zip(rho.weights, psi_at):
             kern += wt * psi[sl][:, None] * np.conj(psi)[None, :]

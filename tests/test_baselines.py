@@ -6,6 +6,8 @@ Wigner functions, the pure-mode rotor distribution), exact marginal and
 flatness identities, and agreement between independent evaluation routes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -240,6 +242,47 @@ def _random_angle_state(seed, m_max):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(2 * m_max + 1) + 1j * rng.standard_normal(2 * m_max + 1)
     return baselines.AngleState(c / np.linalg.norm(c), -m_max)
+
+
+def _pairwise_angle_table(state, thetas, ms):
+    # the defining double sum over coefficient pairs (mu, nu): phase
+    # exp(i (mu - nu) theta), kernel at q = mu + nu - 2m
+    mu, nu = np.meshgrid(state.m_values, state.m_values, indexing="ij")
+    amp = np.outer(state.coeffs, np.conj(state.coeffs)).ravel()
+    kern = baselines._angle_kernel((mu + nu).ravel()[:, None] - 2 * ms) * amp[:, None]
+    return (np.exp(1j * np.multiply.outer(thetas, (mu - nu).ravel())) @ kern).real
+
+
+@pytest.mark.parametrize("m_min, size", [(0, 1), (-3, 7), (2, 6), (-11, 15)])
+def test_angle_wigner_table_matches_pairwise_sum(m_min, size):
+    rng = np.random.default_rng(RNG_SEED + size)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    state = baselines.AngleState(c / np.linalg.norm(c), m_min)
+    thetas = rng.uniform(-np.pi, np.pi, 13)
+    ms = np.arange(m_min - 9, m_min + size + 9)
+    assert_allclose(
+        baselines.angle_wigner_table(state, thetas, ms),
+        _pairwise_angle_table(state, thetas, ms),
+        rtol=0,
+        atol=1e-14,
+    )
+
+
+def test_angle_wigner_table_forms_no_pair_arrays():
+    # the default export nodes of a 201-coefficient state: 64 angles and
+    # |m| <= 200; the (mu, nu, m) pair arrays would take 40 401 x 401
+    # entries, over 500 MB
+    state = _random_angle_state(RNG_SEED, 100)
+    thetas = 2.0 * np.pi * np.arange(64) / 64 - np.pi
+    ms = np.arange(-200, 201)
+    tracemalloc.start()
+    try:
+        table = baselines.angle_wigner_table(state, thetas, ms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (64, 401)
+    assert peak < 16 * 2**20
 
 
 def test_angle_wigner_momentum_marginal():

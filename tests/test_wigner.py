@@ -367,7 +367,8 @@ def test_direct_overlap_memory_is_bounded_by_its_chunks():
 
 
 def test_direct_overlap_builds_dk_once(monkeypatch):
-    # both ensembles, of bands 2 and 1, read one D(k) built to band 2
+    # both ensembles, of bands 2 and 1, read one D(k) built to band 2, and
+    # every label one stacked factor conj(D(k^2)) built to the cutoff 4
     calls = []
     build = wigner._k_matrices
 
@@ -380,7 +381,7 @@ def test_direct_overlap_builds_dk_once(monkeypatch):
     gg = grids.haar_grid_for_degree(2)
     kg = _kgrid(2, 4)
     wigner.overlap_trace(_random_pure(50, 1), _random_ensemble(51, 2), 4, gg, kg)
-    assert calls == [(kg.n_nodes, 2)]
+    assert calls == [(kg.n_nodes, 4), (kg.n_nodes, 2)]
 
 
 def test_overlap_tensors_keep_one_band_per_grid():
@@ -388,8 +389,40 @@ def test_overlap_tensors_keep_one_band_per_grid():
     kg = dataclasses.replace(_kgrid(2, 4))
     wigner.overlap_trace(_random_pure(41, 2), _random_pure(42, 2), 4, gg, kg)
     wigner.overlap_trace(_random_pure(43, 1), _random_pure(44, 0), 4, gg, kg)
-    assert sorted(kg._overlap_tensors) == [(1, t) for t in range(5)]
+    assert sorted(kg._overlap_tensors) == [1]
     assert _cached_bytes(kg) <= wigner._TENSOR_BYTES
+
+
+def test_overlap_tensor_rebuilt_for_a_larger_cutoff():
+    gg = grids.haar_grid_for_degree(2)
+    kg = dataclasses.replace(_kgrid(2, 4))
+    a, b = _random_pure(54, 2), _random_ensemble(55, 1)
+    _, inc2 = wigner.overlap_trace(a, b, 2, gg, kg)
+    assert kg._overlap_tensors[2].shape[1] == 14
+    _, inc4 = wigner.overlap_trace(a, b, 4, gg, kg)
+    assert [t.shape[1] for t in kg._overlap_tensors.values()] == [55]
+    assert_allclose(inc4[:3], inc2, rtol=0, atol=1e-15)
+    assert_allclose(inc4, _overlap_direct(a, b, 4, gg, kg), rtol=0, atol=1e-13)
+
+
+def test_traced_kernels_respect_pair_bytes(monkeypatch):
+    # at band 4, R(g) of 512 group nodes (24.8 MB) is over the 2 MiB
+    # budget, so v(g) meets the tensor a few columns at a time; the top
+    # label's 25 columns at once would make an 11 MB (g, column, alpha)
+    # array
+    monkeypatch.setattr(wigner, "_PAIR_BYTES", 2 * 2**20)
+    gg = grids.haar_grid_for_degree(4)
+    kg = dataclasses.replace(_kgrid(4, 4))
+    a, b = _random_pure(52, 4), _random_ensemble(53, 4)
+    _, inc = wigner.overlap_trace(a, b, 4, gg, kg)
+    tracemalloc.start()
+    try:
+        _, warm = wigner.overlap_trace(a, b, 4, gg, kg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(warm, inc)
+    assert peak < 3 * wigner._PAIR_BYTES
 
 
 def test_overlap_converges_to_coefficient_trace():
