@@ -28,11 +28,12 @@ violations raise :class:`~groupwigner.errors.GridTooCoarse`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import irreps, su2
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, InvalidGrid
 from .states import as_ensemble, synthesize
 
 __all__ = [
@@ -99,9 +100,9 @@ def _require_ggrid(grid, band: int, what: str) -> None:
         )
 
 
-def _chunks(n: int, size: int = _CHUNK):
-    """Slices of at most ``size`` consecutive indices covering ``range(n)``."""
-    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
+def _chunks(n: int, size: int = _CHUNK, start: int = 0):
+    """Slices of at most ``size`` indices in a row covering ``range(start, n)``."""
+    return (slice(lo, min(lo + size, n)) for lo in range(start, n, size))
 
 
 def _coefficient_count(two_jmax: int) -> int:
@@ -130,35 +131,29 @@ def _coefficients(state, gs: np.ndarray, two_jmax: int):
     return u, v
 
 
-def _k_matrices(ks: np.ndarray, two_jmax: int) -> np.ndarray:
-    """``D^t(k)`` for ``t <= two_jmax``, flattened over ``(t, a, c)`` like
-    :func:`_coefficients`: shape ``(K, n)``."""
-    out = np.empty((ks.shape[0], _coefficient_count(two_jmax)), dtype=complex)
-    for t in range(two_jmax + 1):
-        lo = _coefficient_count(t - 1)
-        out[:, lo : lo + (t + 1) ** 2] = irreps.dmatrix(t, ks).reshape(ks.shape[0], -1)
-    return out
+def _k_matrices(ks: np.ndarray, two_jmax: int, start: int = 0) -> np.ndarray:
+    """``D^t(k)`` for ``start <= t <= two_jmax``, flattened over ``(t, a, c)``
+    like :func:`_coefficients`: shape ``(K, n)`` from ``start = 0``."""
+    d = [irreps.dmatrix(t, ks).reshape(len(ks), -1) for t in range(start, two_jmax + 1)]
+    return np.concatenate(d, axis=1)
 
 
-def _k_integrals(rho, gs: np.ndarray, kgrid, factor: np.ndarray, dk: np.ndarray):
+def _k_integrals(rho, gs: np.ndarray, kgrid, factor: np.ndarray):
     """Hemisphere integral ``sum_k c[g, k] w[k] f[k, :]`` of the pair kernel
     ``c[g, k] = <g k| rho |g k^{-1}>`` against a ``(K, F)`` factor ``f``,
-    shape ``(G, F)``, with ``w`` the pushforward weights of ``kgrid`` and
-    ``dk`` the :func:`_k_matrices` of its nodes to at least ``rho``'s band.
-
-    Chunks of ``_CHUNK`` group nodes meet chunks of hemisphere nodes sized
-    so that no ``(g, k)`` array exceeds ``_PAIR_BYTES``.
-    """
-    dk = dk[:, : _coefficient_count(rho.two_jmax)]
+    shape ``(G, F)``, with ``w`` the pushforward weights of ``kgrid``; each
+    chunk of hemisphere nodes, and its ``D(k)``, meets chunks of ``_CHUNK``
+    group nodes, sized so that no ``(g, k)`` array exceeds ``_PAIR_BYTES``."""
     wj = kgrid.pushforward_weights
     out = np.zeros((gs.shape[0], factor.shape[1]), dtype=complex)
-    for sl in _chunks(gs.shape[0]):
-        coefficients = [
-            (w, *_coefficients(state, gs[sl], rho.two_jmax))
-            for w, state in zip(rho.weights, rho.states)
-        ]
-        for ks in _chunks(kgrid.n_nodes, _PAIR_BYTES // (16 * _CHUNK)):
-            c = sum(w * (u @ dk[ks].T) * (v @ dk[ks].T) for w, u, v in coefficients)
+    for ks in _chunks(kgrid.n_nodes, _PAIR_BYTES // (16 * _CHUNK)):
+        dk = _k_matrices(kgrid.nodes[ks], rho.two_jmax).T
+        for sl in _chunks(gs.shape[0]):
+            coefficients = [
+                (w, *_coefficients(state, gs[sl], rho.two_jmax))
+                for w, state in zip(rho.weights, rho.states)
+            ]
+            c = sum(w * (u @ dk) * (v @ dk) for w, u, v in coefficients)
             c *= wj[ks]
             out[sl] += c @ factor[ks]
     return out
@@ -177,7 +172,7 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     pair_factor = np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(
         kgrid.n_nodes, dim**4
     )
-    x = _k_integrals(rho, gs, kgrid, pair_factor, _k_matrices(kgrid.nodes, rho.two_jmax))
+    x = _k_integrals(rho, gs, kgrid, pair_factor)
     dgj = irreps.dmatrix(two_j, gs)
     return (two_j + 1.0) * np.einsum(
         "gma,ganbq,gpb->gmnpq", dgj, x.reshape((-1,) + (dim,) * 4), np.conj(dgj),
@@ -206,7 +201,7 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     # conj(D^J(k^2)) flattened over (b, a): its integral against the pair
     # kernel is Y(g)^T / N_J, since D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})
     factor = np.conj(irreps.dmatrix(two_j, kgrid.squared)).reshape(kgrid.n_nodes, -1)
-    x = _k_integrals(rho, gs, kgrid, factor, _k_matrices(kgrid.nodes, rho.two_jmax))
+    x = _k_integrals(rho, gs, kgrid, factor)
     y_t = (two_j + 1.0) * x.reshape(-1, two_j + 1, two_j + 1)
     if variant == "right":
         return y_t
@@ -271,7 +266,7 @@ def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
     """
     twisted = su2.mul(su2.inverse(kgrid.squared), r)
     chi = np.stack([irreps.character(t, twisted) for t in range(two_jsum + 1)])
-    sums = _k_integrals(rho, gs, kgrid, chi.T, _k_matrices(kgrid.nodes, rho.two_jmax))
+    sums = _k_integrals(rho, gs, kgrid, chi.T)
     return sums * np.arange(1, two_jsum + 2, dtype=float)
 
 
@@ -296,94 +291,97 @@ def marginal_position(rho, g, two_jsum: int, kgrid):
     return values.reshape(lead), increments.reshape(lead + (two_jsum + 1,))
 
 
-#: largest overlap tensor, in bytes, that ``overlap_trace`` builds and keeps
-#: on one hemisphere grid; a larger one takes the direct path
+#: largest overlap tensor, in bytes, that ``overlap_trace`` keeps on a
+#: hemisphere grid; a larger one is built in label blocks and dropped
 _TENSOR_BYTES = 64 * 2**20
-#: largest ``(k, alpha, beta)``, ``(g, alpha, beta)`` or ``(g, column, alpha)``
-#: product array that it forms
+#: largest ``(k, pair)``, ``(pair, column)`` or ``(g, pair)`` array it forms
 _PAIR_BYTES = 16 * 2**20
 
 
-def _overlap_tensor(kgrid, two_jmax: int, two_jsum: int) -> np.ndarray:
-    """Phase-space tensor ``T[(alpha, beta), (t, b, a)] = sum_k D_alpha(k)
-    D_beta(k) w[k] conj(D^t(k^2)_{ba})`` for every label ``t <= two_jsum``,
-    stacked like the columns of :func:`_k_matrices`: shape ``(n^2,
-    sum_{t <= two_jsum} (t+1)^2)``, to be contracted as in
-    :func:`_traced_kernels`.
+@lru_cache(maxsize=None)
+def _pair_rows(two_jmax: int):
+    """Overlap-tensor rows: coefficient pairs ``(ia[r], ib[r])`` sorted by
+    gamma frequency ``f = first[alpha] - last[beta] >= 0`` (rows
+    ``bounds[f]:bounds[f + 1]``), ``first`` and ``last`` the doubled ``m`` of
+    an entry's two indices, and ``delta[alpha] + delta[beta]``, ``delta =
+    first - last``."""
+    ms = [irreps.two_m_values(t) for t in range(two_jmax + 1)]
+    first = np.concatenate([np.repeat(m, len(m)) for m in ms])
+    last = np.concatenate([np.tile(m, len(m)) for m in ms])
+    f = (first[:, None] - last).ravel()
+    order = np.flatnonzero(f >= 0)[np.argsort(f[f >= 0], kind="stable")]
+    ia, ib = np.divmod(order, len(first))
+    bounds = np.searchsorted(f[order], np.arange(2 * two_jmax + 2))
+    return ia, ib, bounds, (first - last)[ia] + (first - last)[ib]
 
-    It depends on the hemisphere rule and the state band, never on the
-    states.  It is kept on ``kgrid`` under the band, one band at a time; a
-    smaller cutoff reads its leading columns and a larger one rebuilds it.
-    It is stored column-major, so that a block of its columns is also a
-    ``[(column, alpha), beta]`` matrix without a copy.  It is built in one
-    pass over chunks of ``_CHUNK`` nodes, with the ``(k, alpha, beta)``
-    products formed a few ``alpha`` at a time, so that none exceeds
-    ``_PAIR_BYTES``.
-    """
-    columns = _coefficient_count(two_jsum)
+
+def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> np.ndarray:
+    """``T[(alpha, beta), (t, b, a)] = sum_k D_alpha(k) D_beta(k) w[k]
+    conj(D^t(k^2)_{ba})`` for ``t`` in ``labels``, rows as in
+    :func:`_pair_rows`, columns as in :func:`_k_matrices`, column-major; with
+    ``keep`` it stays on ``kgrid``, and a smaller cutoff reads its leading
+    columns.  Turning ``k`` about z by phi multiplies ``D^t_{mn}`` by
+    ``e^{-i (m - n) phi}`` at ``k`` and ``k^2`` alike, so a phi ring sums to
+    its phi = 0 node, weighted by the ring, where row and column deltas
+    agree, and to zero elsewhere (exact: ``2 band + jsum < n_phi``)."""
+    lo, hi = _coefficient_count(labels.start - 1), _coefficient_count(labels.stop - 1)
     tensor = kgrid._overlap_tensors.get(two_jmax)
-    if tensor is None or tensor.shape[1] < columns:
+    if tensor is not None and tensor.shape[1] >= hi:
+        return tensor[:, lo:hi]
+    ia, ib, _, row_delta = _pair_rows(two_jmax)
+    col_delta = np.concatenate(
+        [np.subtract.outer(m, m).ravel() for m in map(irreps.two_m_values, labels)]
+    )
+    n_phi = kgrid.shape[2]
+    ks, k2 = kgrid.nodes[::n_phi], kgrid.squared[::n_phi]
+    wj = kgrid.pushforward_weights.reshape(-1, n_phi).sum(axis=1)
+    tensor = np.zeros((len(ia), hi - lo), dtype=complex, order="F")
+    step = max(1, _PAIR_BYTES // (16 * max(_CHUNK, hi - lo)))
+    for sl in _chunks(len(ks)):
+        dk = np.ascontiguousarray(_k_matrices(ks[sl], two_jmax).T)
+        dkw = dk * wj[sl]
+        dk2 = np.conj(_k_matrices(k2[sl], labels.stop - 1, labels.start))
+        for rows in _chunks(len(ia), step):
+            block = (dk[ia[rows]] * dkw[ib[rows]]) @ dk2
+            block[row_delta[rows, None] != col_delta] = 0
+            tensor[rows] += block
+    if keep:
         kgrid._overlap_tensors.clear()
-        n = _coefficient_count(two_jmax)
-        tensor = np.zeros((n * n, columns), dtype=complex, order="F")
-        wj = kgrid.pushforward_weights
-        for sl in _chunks(kgrid.n_nodes):
-            dk = _k_matrices(kgrid.nodes[sl], two_jmax)
-            dkw = dk * wj[sl, None]
-            dk2 = _k_matrices(kgrid.squared[sl], two_jsum)
-            np.conj(dk2, out=dk2)
-            # P[k, (alpha, beta)] for a few alpha at a time
-            for rows in _chunks(n, max(1, _PAIR_BYTES // (16 * _CHUNK * n))):
-                pair = (dk[:, rows, None] * dkw[:, None, :]).reshape(len(dk), -1)
-                tensor[rows.start * n : rows.stop * n] += pair.T @ dk2
         kgrid._overlap_tensors[two_jmax] = tensor
-    return tensor[:, :columns]
+    return tensor
 
 
 def _traced_kernels(rho, gs: np.ndarray, tensor: np.ndarray, two_jmax: int):
-    """``R(g) @ T`` for the tensor of :func:`_overlap_tensor`: the traced
-    kernels ``Y(g; J)^T / N_J`` of every label, flattened and stacked like
-    its columns, with
-
-        R[g, (alpha, beta)] = sum_s w_s u_s,alpha(g) v_s,beta(g).
-
-    Over chunks of ``_CHUNK`` group nodes, ``R`` itself is formed only while
-    it fits in ``_PAIR_BYTES``; above that, each state's ``v(g)`` meets a
-    block of the tensor's columns first and ``u(g)`` after, with blocks
-    sized so that no ``(g, column, alpha)`` array exceeds ``_PAIR_BYTES``.
-    """
-    n = _coefficient_count(two_jmax)
-    out = np.empty((len(gs), tensor.shape[1]), dtype=complex)
+    """``R(g) @ T`` split by the frequency of the tensor's rows, shape ``(2
+    two_jmax + 1, G, columns)``, with ``R[g, (alpha, beta)] = sum_s w_s
+    u_s,alpha(g) v_s,beta(g)`` formed a block of rows at a time, so that the
+    few ``(g, pair)`` arrays alive at once stay within ``_PAIR_BYTES``."""
+    ia, ib, bounds, _ = _pair_rows(two_jmax)
+    out = np.zeros((len(bounds) - 1, len(gs), tensor.shape[1]), dtype=complex)
     for sl in _chunks(len(gs)):
-        m = sl.stop - sl.start
         coefficients = [
-            (w, *_coefficients(state, gs[sl], two_jmax))
+            (w, *(x.T.copy() for x in _coefficients(state, gs[sl], two_jmax)))
             for w, state in zip(rho.weights, rho.states)
         ]
-        if 16 * m * n * n <= _PAIR_BYTES:
-            r = sum(w * (u[:, :, None] * v[:, None, :]) for w, u, v in coefficients)
-            np.matmul(r.reshape(m, -1), tensor, out=out[sl])
-            continue
-        for cols in _chunks(tensor.shape[1], max(1, _PAIR_BYTES // (16 * m * n))):
-            # a view, since the tensor is stored column-major: [(c, alpha), beta]
-            t = tensor[:, cols].T.reshape(-1, n)
-            out[sl, cols] = sum(
-                w * ((v @ t.T).reshape(m, -1, n) @ u[:, :, None])[..., 0]
-                for w, u, v in coefficients
-            )
+        step = max(1, _PAIR_BYTES // (64 * (sl.stop - sl.start)))
+        for f in range(len(bounds) - 1):
+            for rows in _chunks(bounds[f + 1], step, bounds[f]):
+                r = sum(w * u[ia[rows]] * v[ib[rows]] for w, u, v in coefficients)
+                out[f, sl] += r.T @ tensor[rows]
     return out
 
 
-def _label_terms(wg: np.ndarray, y1: np.ndarray, y2: np.ndarray, two_jsum: int):
-    """``(2J+1) sum_g w_g Re tr(V_1 V_2)`` for every label ``2J <= two_jsum``
-    of traced kernels stacked like the columns of :func:`_overlap_tensor`,
-    each flattened in the ``[g, b, a]`` layout."""
-    t = np.repeat(np.arange(two_jsum + 1), np.arange(1, two_jsum + 2) ** 2)
-    lo = _coefficient_count(t - 1)
-    # column (t, b, a) of y1 meets column (t, a, b) of y2
-    b, a = np.divmod(np.arange(t.size) - lo, t + 1)
-    terms = np.einsum("g,gc,gc->c", wg, y1, y2[:, lo + a * (t + 1) + b]).real
-    return np.bincount(t, weights=terms) * np.arange(1, two_jsum + 2)
+def _label_terms(wg: np.ndarray, y1: np.ndarray, y2: np.ndarray, labels: range):
+    """``(2J+1) sum_g w_g Re tr(V_1 V_2)`` for ``2J`` in ``labels``, from
+    :func:`_traced_kernels`.  ``V_2`` is Hermitian, the hemisphere nodes
+    being closed under inversion, so the trace is ``sum V_1 conj(V_2)``, and
+    frequency ``-f`` is the conjugate transpose of ``f``: ``f > 0`` counts
+    twice."""
+    w = np.outer(np.where(np.arange(len(y1)) > 0, 2.0, 1.0), wg).ravel()
+    prod = (y1.view(float) * y2.view(float)).reshape(len(w), -1)
+    terms = (w @ prod).reshape(-1, 2).sum(axis=1)
+    dims = np.arange(labels.start + 1, labels.stop + 1)
+    return np.bincount(np.repeat(dims - 1 - labels.start, dims**2), terms) * dims
 
 
 def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"):
@@ -392,46 +390,43 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
         N_J^{-1} int dg tr( tilde-W_1(g; J) tilde-W_2(g; J) )
 
     which converge to ``Tr(rho_1 rho_2)``.  Returns ``(value, increments)``
-    with ``increments[t]`` the ``2J = t`` term (real).
+    with ``increments[t]`` the ``2J = t`` term (real).  Both variants give
+    one number, since ``D^J(g)`` is unitary, so ``variant`` is only validated.
 
-    The left values ``D^J(g) Y D^J(g)^dagger`` and the right values ``Y^T``
-    give one number inside the trace, because ``D^J(g)`` is unitary, so
-    both variants return the same computation; ``variant`` is still
-    validated and stays for compatibility.
-
-    The pair kernel factorises as ``c[g, k] = R(g) . P(k)`` with
-    ``P[k, (alpha, beta)] = D_alpha(k) D_beta(k)`` (see
-    :func:`_traced_kernels`), so the hemisphere integral of every label is
-    one state-independent tensor ``T`` (:func:`_overlap_tensor`).  When the
-    tensor for the state band and ``two_jsum`` fits in ``_TENSOR_BYTES``, it
-    is built on the first call and kept on ``kgrid``, and what is left per
-    state is ``R(g) @ T`` over the group grid; the state of lower band is
-    padded with zeros to the larger band.  Otherwise the traced kernels are
-    the hemisphere integrals of the pair kernels against the stacked
-    ``conj(D^J(k^2))`` of every label (:func:`_k_integrals`), and nothing
-    is kept.
+    The pair kernel factorises as ``c[g, k] = R(g) . P(k)`` with ``P[k,
+    (alpha, beta)] = D_alpha(k) D_beta(k)``, so every label's hemisphere
+    integral is one state-independent tensor (:func:`_overlap_tensor`); the
+    state of lower band is padded to the larger band.  Along a gamma ring,
+    entry ``(alpha, beta)`` of ``R(g)`` turns by ``e^{-i gamma f / 2}``, so
+    the group integral runs on the gamma = 0 plane, weighted by the rings,
+    with frequency ``f`` of one state meeting ``-f`` of the other (exact:
+    ``|f_1 + f_2| <= 4 exactness_degree < n_gamma``).  A tensor within
+    ``_TENSOR_BYTES`` is kept on ``kgrid``; a larger one is built in blocks
+    of whole labels, each contracted and dropped.
     """
-    rho1 = as_ensemble(rho1)
-    rho2 = as_ensemble(rho2)
+    rho1, rho2 = as_ensemble(rho1), as_ensemble(rho2)
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    _require_ggrid(
-        ggrid, rho1.two_jmax + rho2.two_jmax, "overlap group integral"
-    )
+    _require_ggrid(ggrid, rho1.two_jmax + rho2.two_jmax, "overlap group integral")
     band = max(rho1.two_jmax, rho2.two_jmax)
     _require_kgrid(band, two_jsum, kgrid)
-    n = _coefficient_count(band)
-    if 16 * n * n * _coefficient_count(two_jsum) <= _TENSOR_BYTES:
-        tensor = _overlap_tensor(kgrid, band, two_jsum)
-        y1 = _traced_kernels(rho1, ggrid.nodes, tensor, band)
-        y2 = _traced_kernels(rho2, ggrid.nodes, tensor, band)
-    else:
-        factor = _k_matrices(kgrid.squared, two_jsum)
-        np.conj(factor, out=factor)
-        dk = _k_matrices(kgrid.nodes, band)
-        y1 = _k_integrals(rho1, ggrid.nodes, kgrid, factor, dk)
-        y2 = _k_integrals(rho2, ggrid.nodes, kgrid, factor, dk)
-    increments = _label_terms(ggrid.weights, y1, y2, two_jsum)
+    for grid in (ggrid, kgrid):
+        if grid.n_nodes != np.prod(grid.shape) or len(grid.weights) != grid.n_nodes:
+            raise InvalidGrid(f"{type(grid).__name__} {grid.shape}: not a product grid")
+    n_gamma = ggrid.shape[2]
+    plane = ggrid.nodes[::n_gamma]
+    wg = ggrid.weights.reshape(-1, n_gamma).sum(axis=1)
+    # consecutive labels whose columns fit in _TENSOR_BYTES, at least one
+    blocks, columns = [0], _TENSOR_BYTES // (16 * len(_pair_rows(band)[0]))
+    for t in range(1, two_jsum + 1):
+        if _coefficient_count(t) - _coefficient_count(blocks[-1] - 1) > columns:
+            blocks.append(t)
+    increments = np.empty(two_jsum + 1)
+    for labels in map(range, blocks, blocks[1:] + [two_jsum + 1]):
+        tensor = _overlap_tensor(kgrid, band, labels, keep=len(blocks) == 1)
+        y1, y2 = (_traced_kernels(r, plane, tensor, band) for r in (rho1, rho2))
+        increments[labels.start : labels.stop] = _label_terms(wg, y1, y2, labels)
+        del tensor, y1, y2  # before the next block is built
     return float(increments.sum()), increments
 
 
@@ -491,21 +486,26 @@ def wigner_bruteforce_mollified(rho, g, two_j: int, epsilons, grid):
     inv_eps2 = 1.0 / eps**2
     # the mid-point (a + b) / |a + b| meets g at (a.g + b.g) / |a + b|
     node_g = nodes @ g
+    # the (b, a) half of the pair sum is the adjoint of the (a, b) half: a
+    # chunk meets the nodes from its own start, its own at half weight
     for sl in _chunks(n, _ORACLE_CHUNK):
-        dots = nodes[sl] @ nodes.T
+        rest = slice(sl.start, n)
+        dots = nodes[sl] @ nodes[rest].T
         usable = (1.0 + dots) > su2.ANTIPODAL_EPS
         denom = np.sqrt(np.where(usable, 2.0 * (1.0 + dots), 1.0))
-        dist = np.arccos(np.clip((node_g[sl, None] + node_g) / denom, -1.0, 1.0))
+        dist = np.arccos(np.clip((node_g[sl, None] + node_g[rest]) / denom, -1.0, 1.0))
         kern = np.zeros(dist.shape, dtype=complex)
         for wt, psi in zip(rho.weights, psi_at):
-            kern += wt * psi[sl][:, None] * np.conj(psi)[None, :]
-        pair_w = np.where(usable, w[sl][:, None] * w[None, :], 0.0)
+            kern += wt * psi[sl][:, None] * np.conj(psi[rest])[None, :]
+        pair_w = np.where(usable, w[sl][:, None] * w[rest], 0.0)
+        pair_w[:, : sl.stop - sl.start] *= 0.5
         conj_da = np.conj(d_all[sl]).reshape(-1, dim * dim)
         for ei in range(len(eps)):
             moll = pair_w * np.exp(-(dist**2) * inv_eps2[ei])
-            z_acc[ei] += moll.sum()
+            z_acc[ei] += 2.0 * moll.sum()
             t = moll * kern
-            w_acc[ei] += (t @ d_flat).T @ conj_da
+            w_acc[ei] += (t @ d_flat[rest]).T @ conj_da
+    w_acc += np.conj(w_acc.transpose(0, 2, 1))
     blocks = (two_j + 1.0) * w_acc / z_acc[:, None, None]
     blocks = blocks.reshape(len(eps), dim, dim, dim, dim)
     return blocks[0] if scalar_in else blocks

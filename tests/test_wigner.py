@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from groupwigner import grids, irreps, states, su2, wigner
-from groupwigner.errors import AntipodalPair, DomainError, GridTooCoarse
+from groupwigner.errors import AntipodalPair, DomainError, GridTooCoarse, InvalidGrid
 
 RNG_SEED = 20240814
 
@@ -200,26 +200,44 @@ def test_overlap_matches_left_variant_reference():
 
 
 def _overlap_direct(rho1, rho2, two_jsum, ggrid, kgrid):
-    # the direct formula, which the functional keeps for tensors over its
-    # byte budget: both pair kernels on the G x K grid, contracted with
-    # conj(D^J(k^2)) for every label
-    with mock.patch.object(wigner, "_TENSOR_BYTES", 0):
-        return wigner.overlap_trace(rho1, rho2, two_jsum, ggrid, kgrid)[1]
+    # the G x K formula from the public traced blocks: the right values
+    # Y^T of both states at every group node, paired by Re tr(Y_1^T Y_2^T)
+    # for every label, with no ring rule, tensor or frequency split
+    inc = []
+    for two_j in range(two_jsum + 1):
+        y1 = wigner.wigner_tilde_batch(rho1, ggrid.nodes, two_j, kgrid, "right")
+        y2 = wigner.wigner_tilde_batch(rho2, ggrid.nodes, two_j, kgrid, "right")
+        inc.append(np.einsum("g,gab,gba->", ggrid.weights, y1, y2).real / (two_j + 1.0))
+    return np.array(inc)
+
+
+def _product_subgrid(grid, step_0, step_1):
+    """Every ``step_0``-th node along the first axis and ``step_1``-th along
+    the second of a product grid, its innermost rings whole and its weights
+    scaled by the fraction kept.  The ring rules hold on it node by node,
+    though its exactness claim does not."""
+    idx = np.arange(grid.n_nodes).reshape(grid.shape)[::step_0, ::step_1]
+    arrays = {
+        k: v[idx.ravel()] for k, v in vars(grid).items() if isinstance(v, np.ndarray)
+    }
+    arrays["weights"] = arrays["weights"] * (grid.n_nodes / idx.size)
+    return dataclasses.replace(grid, shape=idx.shape, **arrays)
 
 
 # one pair of grids for every drawn case, so the cached tensors are reused;
-# the two formulas agree node by node, so every 8th Haar node (64 of 512)
-# keeps the direct reference cheap
-REF_BAND = 3
+# the two formulas agree node by node, so product sub-grids keep the G x K
+# reference cheap: 4 of 12 alpha and 2 of 6 beta values on whole gamma
+# rings, and 10 of 29 axial and 3 of 15 theta values on whole phi rings
+# (theta indices 0, 7, 14, so the node set stays closed under inversion)
+REF_BAND = 5
 REF_JSUM = 8
-_HAAR = grids.haar_grid_for_degree(REF_BAND)
-REF_GGRID = dataclasses.replace(_HAAR, nodes=_HAAR.nodes[::8], weights=_HAAR.weights[::8])
-REF_KGRID = grids.hemisphere_grid_for(REF_BAND + REF_JSUM)
+REF_GGRID = _product_subgrid(grids.haar_grid_for_degree(REF_BAND), 3, 3)
+REF_KGRID = _product_subgrid(grids.hemisphere_grid_for(REF_BAND + REF_JSUM), 3, 7)
 
 
 @st.composite
 def _states(draw):
-    """A pure state, or an ensemble of 2-3 members, each of band 0-3."""
+    """A pure state, or an ensemble of 2-3 members, each of band 0-5."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     bands = draw(st.lists(st.integers(0, REF_BAND), min_size=1, max_size=3))
     members = tuple(states.random_state(rng, b) for b in bands)
@@ -235,6 +253,57 @@ def test_overlap_matches_direct_formula(rho1, rho2, two_jsum):
     _, inc = wigner.overlap_trace(rho1, rho2, two_jsum, REF_GGRID, REF_KGRID)
     ref = _overlap_direct(rho1, rho2, two_jsum, REF_GGRID, REF_KGRID)
     assert np.max(np.abs(inc - ref)) < 1e-13
+
+
+def _all_node_tensor(kgrid, two_jmax, two_jsum):
+    """The overlap tensor summed over every hemisphere node, in the rows of
+    ``wigner._pair_rows``."""
+    ia, ib, _, _ = wigner._pair_rows(two_jmax)
+    dk = wigner._k_matrices(kgrid.nodes, two_jmax)
+    dk2 = np.conj(wigner._k_matrices(kgrid.squared, two_jsum))
+    return (dk[:, ia] * dk[:, ib] * kgrid.pushforward_weights[:, None]).T @ dk2
+
+
+def _delta(two_jmax):
+    """``m_a - m_c`` (doubled) of every entry ``(t, a, c)`` of ``D(k)``."""
+    ms = map(irreps.two_m_values, range(two_jmax + 1))
+    return np.concatenate([np.subtract.outer(m, m).ravel() for m in ms])
+
+
+@pytest.mark.parametrize("two_jmax,two_jsum", [(1, 4), (2, 6), (3, 4)])
+def test_plane_tensor_is_the_all_node_sum(two_jmax, two_jsum):
+    kg = dataclasses.replace(_kgrid(two_jmax, two_jsum))
+    tensor = wigner._overlap_tensor(kg, two_jmax, range(two_jsum + 1), keep=False)
+    want = _all_node_tensor(kg, two_jmax, two_jsum)
+    assert np.max(np.abs(tensor - want)) < 1e-14
+    # zero exactly where delta(alpha) + delta(beta) != delta(column), and
+    # not identically zero where they agree
+    ia, ib, _, _ = wigner._pair_rows(two_jmax)
+    delta = _delta(two_jmax)
+    rule = (delta[ia] + delta[ib])[:, None] == _delta(two_jsum)
+    assert np.all(tensor[~rule] == 0)
+    assert np.count_nonzero(tensor[rule]) > rule.sum() // 2
+    assert not kg._overlap_tensors
+
+
+def test_frequency_split_matches_full_grid_contraction():
+    # at every node of a small Haar grid, R(g) @ T over the kept rows equals
+    # the plane's frequency parts turned by e^{-i gamma f / 2}
+    rho = _random_ensemble(56, 2)
+    gg = grids.haar_grid_for_degree(2)
+    kg = dataclasses.replace(_kgrid(2, 3))
+    tensor = wigner._overlap_tensor(kg, 2, range(4), keep=False)
+    n_gamma = gg.shape[2]
+    split = wigner._traced_kernels(rho, gg.nodes[::n_gamma], tensor, 2)
+    ia, ib, _, _ = wigner._pair_rows(2)
+    r = 0
+    for w, state in zip(rho.weights, rho.states):
+        u, v = wigner._coefficients(state, gg.nodes, 2)
+        r = r + w * u[:, ia] * v[:, ib]
+    full = r @ tensor
+    phase = np.exp(-0.5j * np.outer(gg.euler[:, 2], np.arange(len(split))))
+    turned = np.einsum("gf,fgc->gc", phase, np.repeat(split, n_gamma, axis=1))
+    assert np.max(np.abs(full - turned)) < 1e-13
 
 
 def _count_kgrid_dmatrix(monkeypatch, kgrid):
@@ -303,23 +372,34 @@ def _cached_bytes(kgrid):
     return sum(t.nbytes for t in kgrid._overlap_tensors.values())
 
 
-def test_overlap_over_budget_takes_direct_path_and_keeps_nothing(monkeypatch):
+def test_overlap_over_budget_streams_and_keeps_nothing(monkeypatch):
     gg = grids.haar_grid_for_degree(2)
     kg = dataclasses.replace(_kgrid(2, 4))
     a, b = _random_pure(39, 2), _random_pure(40, 1)
     _, inc = wigner.overlap_trace(a, b, 4, gg, kg)
-    # n^2 sum_{t <= 4} (t+1)^2 complex numbers, n = 14 at band 2
-    assert _cached_bytes(kg) == 16 * 14**2 * 55
-    monkeypatch.setattr(wigner, "_TENSOR_BYTES", _cached_bytes(kg) - 1)
+    # the kept pair rows times sum_{t <= 4} (t+1)^2 columns
+    rows = len(wigner._pair_rows(2)[0])
+    assert _cached_bytes(kg) == 16 * rows * 55
+    # a budget of 30 columns: labels 0-3, then 4 alone
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 16 * rows * 30)
+    blocks = []
+    build = wigner._overlap_tensor
+
+    def recording(kgrid, two_jmax, labels, keep):
+        blocks.append((labels, keep))
+        return build(kgrid, two_jmax, labels, keep)
+
+    monkeypatch.setattr(wigner, "_overlap_tensor", recording)
     fresh = dataclasses.replace(kg)
     _, inc2 = wigner.overlap_trace(a, b, 4, gg, fresh)
+    assert blocks == [(range(0, 4), False), (range(4, 5), False)]
     assert _cached_bytes(fresh) == 0
     assert_allclose(inc2, inc, rtol=0, atol=1e-13)
 
 
 def _pair_kernel_consumers():
     """Every value computed from the pair kernel, at G = 1 000 > _CHUNK
-    group nodes; the overlap on its direct path."""
+    group nodes; the overlap streamed one label at a time."""
     rho = _random_ensemble(45, 2)
     gg = grids.haar_grid_for_degree(4)
     kg = _kgrid(2, 2)
@@ -347,41 +427,44 @@ def test_k_chunks_that_do_not_divide_the_grid():
         assert np.max(np.abs(g - w)) < 1e-13
 
 
-def test_direct_overlap_memory_is_bounded_by_its_chunks():
+def test_streamed_overlap_memory_is_bounded_by_one_block(monkeypatch):
+    # at band 4 and cutoff 8 the whole tensor takes 7.3 MB; streamed one or
+    # a few labels at a time, the largest block (label 8 alone) takes 2.2 MB
     gg = grids.haar_grid_for_degree(4)
-    kg = _kgrid(4, 8)
+    kg = dataclasses.replace(_kgrid(4, 8))
     a, b = _random_pure(48, 4), _random_ensemble(49, 4)
-    # the whole-K arrays it keeps: the factors conj(D^J(k^2)) of every
-    # label and D(k) up to band 4; every (g, k) array is within _PAIR_BYTES
-    factor_bytes = 16 * kg.n_nodes * wigner._coefficient_count(8)
-    dk_bytes = 16 * kg.n_nodes * wigner._coefficient_count(4)
-    bound = 2 * (factor_bytes + dk_bytes) + 4 * wigner._PAIR_BYTES
-    with mock.patch.object(wigner, "_TENSOR_BYTES", 0):
-        tracemalloc.start()
-        try:
-            wigner.overlap_trace(a, b, 8, gg, kg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak < bound
+    _, want = wigner.overlap_trace(a, b, 8, gg, dataclasses.replace(kg))
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 2**20)
+    monkeypatch.setattr(wigner, "_PAIR_BYTES", 2**18)
+    block = 16 * len(wigner._pair_rows(4)[0]) * 81
+    tracemalloc.start()
+    try:
+        _, inc = wigner.overlap_trace(a, b, 8, gg, kg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not kg._overlap_tensors
+    assert peak < 2 * block + 4 * wigner._PAIR_BYTES < block * 285 // 81
+    assert_allclose(inc, want, rtol=0, atol=1e-13)
 
 
-def test_direct_overlap_builds_dk_once(monkeypatch):
-    # both ensembles, of bands 2 and 1, read one D(k) built to band 2, and
-    # every label one stacked factor conj(D(k^2)) built to the cutoff 4
-    calls = []
-    build = wigner._k_matrices
+def test_overlap_tensor_evaluates_d_on_the_plane_only(monkeypatch):
+    # the build visits the n_axial x n_theta nodes at phi = 0, as views of
+    # the grid's arrays, and D(k) of the band and D(k^2) of the cutoff there
+    kg = dataclasses.replace(_kgrid(2, 4))
+    sizes = []
+    original = irreps.dmatrix
 
-    def counting(ks, two_jmax):
-        calls.append((len(ks), two_jmax))
-        return build(ks, two_jmax)
+    def counting(two_j, g):
+        if np.may_share_memory(g, kg.nodes) or np.may_share_memory(g, kg.squared):
+            sizes.append(len(g))
+        return original(two_j, g)
 
-    monkeypatch.setattr(wigner, "_k_matrices", counting)
-    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 0)
+    monkeypatch.setattr(irreps, "dmatrix", counting)
     gg = grids.haar_grid_for_degree(2)
-    kg = _kgrid(2, 4)
     wigner.overlap_trace(_random_pure(50, 1), _random_ensemble(51, 2), 4, gg, kg)
-    assert calls == [(kg.n_nodes, 4), (kg.n_nodes, 2)]
+    plane = kg.shape[0] * kg.shape[1]
+    assert sizes == [plane] * (3 + 5)
 
 
 def test_overlap_tensors_keep_one_band_per_grid():
@@ -505,6 +588,22 @@ def test_grid_preconditions_raise():
         wigner.overlap_trace(rho, rho, 2, coarse_g, _kgrid(2, 2))
     with pytest.raises(GridTooCoarse):
         wigner.marginal_position(rho, su2.identity(), 40, _kgrid(2, 2))
+
+
+def test_overlap_rejects_grids_that_are_not_products():
+    # the overlap reads whole gamma and phi rings off both grids; thinned
+    # node sets whose shape still claims the full product, or weights that
+    # do not match the nodes, raise instead of summing something else
+    rho = _random_pure(57, 1)
+    gg, kg = grids.haar_grid_for_degree(1), _kgrid(1, 2)
+    thinned_k = {k: v[::3] for k, v in vars(kg).items() if isinstance(v, np.ndarray)}
+    for g, k in (
+        (dataclasses.replace(gg, nodes=gg.nodes[::8], weights=gg.weights[::8]), kg),
+        (dataclasses.replace(gg, weights=gg.weights[:-1]), kg),
+        (gg, dataclasses.replace(kg, **thinned_k)),
+    ):
+        with pytest.raises(InvalidGrid, match="not a product grid"):
+            wigner.overlap_trace(rho, rho, 2, g, k)
 
 
 E = su2.identity()
