@@ -382,17 +382,23 @@ def _check_position_marginal(config, rng):
 
 
 def _check_overlap(config, rng):
-    # symmetry and variant agreement are exact identities at any label
-    # cutoff; convergence of the absolute gap is the overlap command's job
+    # symmetry, variant agreement and the left-variant formula (traced
+    # blocks paired at every Haar node, no gamma rule) are exact identities
+    # at any label cutoff; convergence of the absolute gap is the overlap
+    # command's job
     grid = _ggrid(config)
     a = states.pure_ensemble(states.random_state(rng, config.jmax_twice))
     b = states.pure_ensemble(states.random_state(rng, config.jmax_twice))
     two_jsum = min(config.jsum_twice, 2 * config.jmax_twice)
     kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_jsum)
-    val_ab, _ = wigner.overlap_trace(a, b, two_jsum, grid, kgrid, "left")
+    val_ab, inc = wigner.overlap_trace(a, b, two_jsum, grid, kgrid, "left")
     val_ba, _ = wigner.overlap_trace(b, a, two_jsum, grid, kgrid, "left")
     val_r, _ = wigner.overlap_trace(a, b, two_jsum, grid, kgrid, "right")
     err = max(abs(val_ab - val_ba), abs(val_ab - val_r))
+    for two_j in range(two_jsum + 1):
+        w1, w2 = (wigner.wigner_tilde_batch(r, grid.nodes, two_j, kgrid) for r in (a, b))
+        ref = np.einsum("g,gab,gba->", grid.weights, w1, w2).real / (two_j + 1.0)
+        err = max(err, abs(inc[two_j] - ref))
     return {"name": "overlap-symmetry", "error": float(err), "tolerance": 1e-10}
 
 
@@ -401,11 +407,17 @@ def _check_reconstruction(config, rng):
     two_jsum = config.jsum_twice
     kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_jsum)
     g1, g2 = su2.random_elements(rng, 2)
-    val_l, _ = wigner.reconstruct_kernel(state, g1, g2, two_jsum, kgrid, "left")
+    val_l, inc = wigner.reconstruct_kernel(state, g1, g2, two_jsum, kgrid, "left")
     val_r, _ = wigner.reconstruct_kernel(state, g1, g2, two_jsum, kgrid, "right")
+    # each label against the left form, tr(tilde-W(s; J) D^J(g1 g2^{-1}))
+    s, rel = su2.midpoint(g1, g2), su2.mul(g1, su2.inverse(g2))
+    err = abs(val_l - val_r)
+    for two_j in range(two_jsum + 1):
+        tilde = wigner.wigner_tilde(state, s, two_j, kgrid, "left").values
+        err = max(err, abs(inc[two_j] - np.trace(tilde @ irreps.dmatrix(two_j, rel))))
     return {
         "name": "reconstruction-variants",
-        "error": abs(val_l - val_r),
+        "error": float(err),
         "tolerance": 1e-6,
     }
 

@@ -71,7 +71,7 @@ class HemisphereGrid:
     jacobian: np.ndarray   # (K,) = 8 * a0**2
     squared: np.ndarray    # (K, 4) the nodes squared in the group
     exactness_twice: int
-    # wigner.overlap_trace's state-independent tensor, all labels to the
+    # the state-independent tensor of wigner's label sums, all labels to the
     # largest cutoff asked for stacked in one array, keyed by the state
     # band and holding one band at a time (at most wigner._TENSOR_BYTES);
     # a dataclasses.replace copy starts empty, since its nodes or weights

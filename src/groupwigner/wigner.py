@@ -138,25 +138,124 @@ def _k_matrices(ks: np.ndarray, two_jmax: int, start: int = 0) -> np.ndarray:
     return np.concatenate(d, axis=1)
 
 
-def _k_integrals(rho, gs: np.ndarray, kgrid, factor: np.ndarray):
-    """Hemisphere integral ``sum_k c[g, k] w[k] f[k, :]`` of the pair kernel
-    ``c[g, k] = <g k| rho |g k^{-1}>`` against a ``(K, F)`` factor ``f``,
-    shape ``(G, F)``, with ``w`` the pushforward weights of ``kgrid``; each
-    chunk of hemisphere nodes, and its ``D(k)``, meets chunks of ``_CHUNK``
-    group nodes, sized so that no ``(g, k)`` array exceeds ``_PAIR_BYTES``."""
-    wj = kgrid.pushforward_weights
-    out = np.zeros((gs.shape[0], factor.shape[1]), dtype=complex)
-    for ks in _chunks(kgrid.n_nodes, _PAIR_BYTES // (16 * _CHUNK)):
-        dk = _k_matrices(kgrid.nodes[ks], rho.two_jmax).T
-        for sl in _chunks(gs.shape[0]):
-            coefficients = [
-                (w, *_coefficients(state, gs[sl], rho.two_jmax))
-                for w, state in zip(rho.weights, rho.states)
-            ]
-            c = sum(w * (u @ dk) * (v @ dk) for w, u, v in coefficients)
-            c *= wj[ks]
-            out[sl] += c @ factor[ks]
-    return out
+#: largest overlap tensor, in bytes, that a label sum keeps on a hemisphere
+#: grid, and largest tensor block built at once (in label or column blocks)
+_TENSOR_BYTES = 64 * 2**20
+#: largest ``(k, pair)``, ``(pair, column)`` or ``(g, pair)`` array formed
+_PAIR_BYTES = 16 * 2**20
+
+
+@lru_cache(maxsize=None)
+def _pair_rows(two_jmax: int):
+    """Plane-tensor rows: coefficient pairs ``(ia[r], ib[r])`` sorted by
+    gamma frequency ``f = first[alpha] - last[beta] >= 0`` (rows
+    ``bounds[f]:bounds[f + 1]``), ``first`` and ``last`` the doubled ``m`` of
+    an entry's two indices, and ``delta[alpha] + delta[beta]``, ``delta =
+    first - last``."""
+    ms = [irreps.two_m_values(t) for t in range(two_jmax + 1)]
+    first = np.concatenate([np.repeat(m, len(m)) for m in ms])
+    last = np.concatenate([np.tile(m, len(m)) for m in ms])
+    f = (first[:, None] - last).ravel()
+    order = np.flatnonzero(f >= 0)[np.argsort(f[f >= 0], kind="stable")]
+    ia, ib = np.divmod(order, len(first))
+    bounds = np.searchsorted(f[order], np.arange(2 * two_jmax + 2))
+    return ia, ib, bounds, (first - last)[ia] + (first - last)[ib]
+
+
+def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> np.ndarray:
+    """``T[(alpha, beta), c] = sum_k D_alpha(k) D_beta(k) w[k] f[k, c]``,
+    rows as in :func:`_pair_rows`, column-major, for a factor ``f =
+    factor(k, k^2)`` whose column ``c`` gains ``e^{i col_delta[c] phi / 2}``
+    as ``k`` turns about z by phi, which multiplies ``D^t_{mn}`` by ``e^{-i
+    (m - n) phi}`` at ``k`` and ``k^2`` alike: a phi ring sums to its phi = 0
+    node, weighted by the ring, where row and column deltas agree, and to
+    zero elsewhere (exact on a grid certified for the integrand).  The rows
+    stop at ``f >= 0`` since kernels are Hermitian on a grid closed under
+    inversion (``theta -> pi - theta``, ``phi -> phi + pi``)."""
+    n_axial, n_theta, n_phi = kgrid.shape
+    if kgrid.n_nodes != n_axial * n_theta * n_phi or len(kgrid.weights) != kgrid.n_nodes:
+        raise InvalidGrid(f"HemisphereGrid {kgrid.shape}: not a product grid")
+    ks, k2 = kgrid.nodes[::n_phi], kgrid.squared[::n_phi]
+    wj = kgrid.pushforward_weights.reshape(-1, n_phi).sum(axis=1)
+    plane, ring = ks.reshape(n_axial, n_theta, 4), wj.reshape(n_axial, n_theta)
+    mirrored = np.allclose(plane[:, ::-1] * (1, 1, 1, -1), plane, rtol=0, atol=1e-12)
+    if n_phi % 2 or not (mirrored and np.allclose(ring[:, ::-1], ring, rtol=1e-12, atol=0)):
+        raise InvalidGrid(f"HemisphereGrid {kgrid.shape}: not closed under inversion")
+    ia, ib, _, row_delta = _pair_rows(two_jmax)
+    tensor = np.zeros((len(ia), len(col_delta)), dtype=complex, order="F")
+    step = max(1, _PAIR_BYTES // (16 * max(_CHUNK, len(col_delta))))
+    for sl in _chunks(len(ks), max(1, min(_CHUNK, _PAIR_BYTES // (16 * len(col_delta))))):
+        dk = np.ascontiguousarray(_k_matrices(ks[sl], two_jmax).T)
+        dkw = dk * wj[sl]
+        f = factor(ks[sl], k2[sl])
+        for rows in _chunks(len(ia), step):
+            block = (dk[ia[rows]] * dkw[ib[rows]]) @ f
+            block[row_delta[rows, None] != col_delta] = 0
+            tensor[rows] += block
+    return tensor
+
+
+def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> np.ndarray:
+    """The plane tensor of ``conj(D^t(k^2)_{ba})`` for ``t`` in ``labels``,
+    columns ``(t, b, a)`` as in :func:`_k_matrices`; with ``keep`` it stays
+    on ``kgrid``, and a smaller cutoff reads its leading columns."""
+    lo, hi = _coefficient_count(labels.start - 1), _coefficient_count(labels.stop - 1)
+    tensor = kgrid._overlap_tensors.get(two_jmax)
+    if tensor is not None and tensor.shape[1] >= hi:
+        return tensor[:, lo:hi]
+    col_delta = np.concatenate(
+        [np.subtract.outer(m, m).ravel() for m in map(irreps.two_m_values, labels)]
+    )
+    tensor = _plane_tensor(kgrid, two_jmax, lambda k, k2: np.conj(
+        _k_matrices(k2, labels.stop - 1, labels.start)), col_delta)
+    if keep:
+        kgrid._overlap_tensors.clear()
+        kgrid._overlap_tensors[two_jmax] = tensor
+    return tensor
+
+
+def _label_tensors(kgrid, two_jmax: int, two_jsum: int):
+    """``(labels, overlap tensor)`` for ``t <= two_jsum`` in blocks of labels
+    whose columns fit in ``_TENSOR_BYTES`` (at least one), kept on ``kgrid``
+    if one block holds all; drop each before asking for the next."""
+    blocks, columns = [0], _TENSOR_BYTES // (16 * len(_pair_rows(two_jmax)[0]))
+    for t in range(1, two_jsum + 1):
+        if _coefficient_count(t) - _coefficient_count(blocks[-1] - 1) > columns:
+            blocks.append(t)
+    for labels in map(range, blocks, blocks[1:] + [two_jsum + 1]):
+        yield labels, _overlap_tensor(kgrid, two_jmax, labels, keep=len(blocks) == 1)
+
+
+def _traced_kernels(rho, gs: np.ndarray, tensor: np.ndarray, two_jmax: int, fold=False):
+    """``R(g) @ T`` split by the frequency of the tensor's rows, shape ``(2
+    two_jmax + 1, G, columns)``, with ``R[g, (alpha, beta)] = sum_s w_s
+    u_s,alpha(g) v_s,beta(g)`` formed a block of rows at a time, so that the
+    few ``(g, pair)`` arrays alive at once stay within ``_PAIR_BYTES``.
+    ``fold`` sums the frequencies, ``f = 0`` at half weight, to ``(G,
+    columns)``: frequency ``-f`` being the adjoint of ``f``, that plus its
+    adjoint (:func:`_add_adjoint`) is ``R(g) @ T`` over every pair."""
+    ia, ib, bounds, _ = _pair_rows(two_jmax)
+    parts = [(0, len(ia))] if fold else list(zip(bounds[:-1], bounds[1:]))
+    out = np.zeros((len(parts), len(gs), tensor.shape[1]), dtype=complex)
+    for sl in _chunks(len(gs)):
+        coefficients = [
+            (w, *(x.T.copy() for x in _coefficients(state, gs[sl], two_jmax)))
+            for w, state in zip(rho.weights, rho.states)
+        ]
+        step = max(1, _PAIR_BYTES // (64 * (sl.stop - sl.start)))
+        for f, (lo, hi) in enumerate(parts):
+            for rows in _chunks(hi, step, lo):
+                r = sum(w * u[ia[rows]] * v[ib[rows]] for w, u, v in coefficients)
+                if fold:
+                    r[: max(bounds[1] - rows.start, 0)] *= 0.5
+                out[f, sl] += r.T @ tensor[rows]
+    return out[0] if fold else out
+
+
+def _add_adjoint(x: np.ndarray, d: int) -> np.ndarray:
+    """``X + X^dagger`` for the ``d x d`` block ``X`` of each row of ``x``."""
+    x = x.reshape(len(x), d, d)
+    return x + np.conj(x.transpose(0, 2, 1))
 
 
 def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
@@ -165,18 +264,26 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     rho = as_ensemble(rho)
     _require_kgrid(rho.two_jmax, two_j, kgrid)
     gs = su2._as_elements(gs)
-    dim = two_j + 1
-    cdk = np.conj(irreps.dmatrix(two_j, kgrid.nodes))
-    # pair_factor[k, (a, n, b, q)] collects the k-dependence of
-    # D_{MN}(g k^{-1}) conj(D_{M'N'}(g k)) after splitting off D(g)
-    pair_factor = np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(
-        kgrid.n_nodes, dim**4
-    )
-    x = _k_integrals(rho, gs, kgrid, pair_factor)
+    dim, band = two_j + 1, rho.two_jmax
+    # pair_factor[k, (a, n, b, q)] = conj(D_na(k)) conj(D_bq(k)) collects the
+    # k-dependence of D_{MN}(g k^{-1}) conj(D_{M'N'}(g k)) after splitting
+    # off D(g); its column turns by (m_n - m_a) + (m_b - m_q)
+    def pair_factor(k, k2):
+        cdk = np.conj(irreps.dmatrix(two_j, k))
+        return np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(len(k), -1)[:, cols]
+
+    delta = np.subtract.outer(*[irreps.two_m_values(two_j)] * 2)
+    col_delta = np.add.outer(delta.T, delta).ravel()
+    x = np.empty((len(gs), dim**4), dtype=complex)
+    for cols in _chunks(dim**4, max(1, _TENSOR_BYTES // (16 * len(_pair_rows(band)[0])))):
+        tensor = _plane_tensor(kgrid, band, pair_factor, col_delta[cols])
+        x[:, cols] = _traced_kernels(rho, gs, tensor, band, fold=True)
+        del tensor  # before the next block is built
+    x = _add_adjoint(x, dim * dim)
     dgj = irreps.dmatrix(two_j, gs)
-    return (two_j + 1.0) * np.einsum(
-        "gma,ganbq,gpb->gmnpq", dgj, x.reshape((-1,) + (dim,) * 4), np.conj(dgj),
-        optimize=True,
+    return np.einsum(
+        "gma,ganbq,gpb->gmnpq", (two_j + 1.0) * dgj, x.reshape((-1,) + (dim,) * 4),
+        np.conj(dgj), optimize=True,
     )
 
 
@@ -198,11 +305,12 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     gs = su2._as_elements(gs)
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    # conj(D^J(k^2)) flattened over (b, a): its integral against the pair
-    # kernel is Y(g)^T / N_J, since D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})
-    factor = np.conj(irreps.dmatrix(two_j, kgrid.squared)).reshape(kgrid.n_nodes, -1)
-    x = _k_integrals(rho, gs, kgrid, factor)
-    y_t = (two_j + 1.0) * x.reshape(-1, two_j + 1, two_j + 1)
+    # the plane tensor of conj(D^J(k^2)), flattened over (b, a), makes the
+    # traced kernel Y(g)^T / N_J, since D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})
+    band = rho.two_jmax
+    tensor = _overlap_tensor(kgrid, band, range(two_j, two_j + 1), keep=False)
+    x = _traced_kernels(rho, gs, tensor, band, fold=True)
+    y_t = (two_j + 1.0) * _add_adjoint(x, two_j + 1)
     if variant == "right":
         return y_t
     dg = irreps.dmatrix(two_j, gs)
@@ -262,12 +370,21 @@ def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
 
     By ``tr Y(g; J) D^J(r) = N_J sum_k c w chi^J(k^{-2} r)`` this is the
     label-sum term of both the position density (``r = e``) and the kernel
-    reconstruction (``g = s(g1, g2)``, ``r = g2^{-1} g1``).
+    reconstruction (``g = s(g1, g2)``, ``r = g2^{-1} g1``).  Since
+    ``chi^t(k^{-2} r) = sum_ba conj(D^t(k^2))_ba D^t(r)_ba``, it is each
+    label's traced kernel ``y[g, (t, b, a)]`` contracted with ``D^t(r)``.
     """
-    twisted = su2.mul(su2.inverse(kgrid.squared), r)
-    chi = np.stack([irreps.character(t, twisted) for t in range(two_jsum + 1)])
-    sums = _k_integrals(rho, gs, kgrid, chi.T)
-    return sums * np.arange(1, two_jsum + 2, dtype=float)
+    band = rho.two_jmax
+    out = np.empty((len(gs), two_jsum + 1), dtype=complex)
+    for labels, tensor in _label_tensors(kgrid, band, two_jsum):
+        dims = np.arange(labels.start + 1, labels.stop + 1)
+        for sl in _chunks(len(gs)):
+            y = _traced_kernels(rho, gs[sl], tensor, band, fold=True)
+            for d, x in zip(dims, np.split(y, np.cumsum(dims**2)[:-1], axis=1)):
+                dr = irreps.dmatrix(d - 1, r)
+                out[sl, d - 1] = d * np.einsum("gba,ba->g", _add_adjoint(x, d), dr)
+        del tensor  # before the next block is built
+    return out
 
 
 def marginal_position(rho, g, two_jsum: int, kgrid):
@@ -289,86 +406,6 @@ def marginal_position(rho, g, two_jsum: int, kgrid):
     increments = _character_sums(rho, gs, su2.identity(), two_jsum, kgrid).real
     values = increments.sum(axis=-1)
     return values.reshape(lead), increments.reshape(lead + (two_jsum + 1,))
-
-
-#: largest overlap tensor, in bytes, that ``overlap_trace`` keeps on a
-#: hemisphere grid; a larger one is built in label blocks and dropped
-_TENSOR_BYTES = 64 * 2**20
-#: largest ``(k, pair)``, ``(pair, column)`` or ``(g, pair)`` array it forms
-_PAIR_BYTES = 16 * 2**20
-
-
-@lru_cache(maxsize=None)
-def _pair_rows(two_jmax: int):
-    """Overlap-tensor rows: coefficient pairs ``(ia[r], ib[r])`` sorted by
-    gamma frequency ``f = first[alpha] - last[beta] >= 0`` (rows
-    ``bounds[f]:bounds[f + 1]``), ``first`` and ``last`` the doubled ``m`` of
-    an entry's two indices, and ``delta[alpha] + delta[beta]``, ``delta =
-    first - last``."""
-    ms = [irreps.two_m_values(t) for t in range(two_jmax + 1)]
-    first = np.concatenate([np.repeat(m, len(m)) for m in ms])
-    last = np.concatenate([np.tile(m, len(m)) for m in ms])
-    f = (first[:, None] - last).ravel()
-    order = np.flatnonzero(f >= 0)[np.argsort(f[f >= 0], kind="stable")]
-    ia, ib = np.divmod(order, len(first))
-    bounds = np.searchsorted(f[order], np.arange(2 * two_jmax + 2))
-    return ia, ib, bounds, (first - last)[ia] + (first - last)[ib]
-
-
-def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> np.ndarray:
-    """``T[(alpha, beta), (t, b, a)] = sum_k D_alpha(k) D_beta(k) w[k]
-    conj(D^t(k^2)_{ba})`` for ``t`` in ``labels``, rows as in
-    :func:`_pair_rows`, columns as in :func:`_k_matrices`, column-major; with
-    ``keep`` it stays on ``kgrid``, and a smaller cutoff reads its leading
-    columns.  Turning ``k`` about z by phi multiplies ``D^t_{mn}`` by
-    ``e^{-i (m - n) phi}`` at ``k`` and ``k^2`` alike, so a phi ring sums to
-    its phi = 0 node, weighted by the ring, where row and column deltas
-    agree, and to zero elsewhere (exact: ``2 band + jsum < n_phi``)."""
-    lo, hi = _coefficient_count(labels.start - 1), _coefficient_count(labels.stop - 1)
-    tensor = kgrid._overlap_tensors.get(two_jmax)
-    if tensor is not None and tensor.shape[1] >= hi:
-        return tensor[:, lo:hi]
-    ia, ib, _, row_delta = _pair_rows(two_jmax)
-    col_delta = np.concatenate(
-        [np.subtract.outer(m, m).ravel() for m in map(irreps.two_m_values, labels)]
-    )
-    n_phi = kgrid.shape[2]
-    ks, k2 = kgrid.nodes[::n_phi], kgrid.squared[::n_phi]
-    wj = kgrid.pushforward_weights.reshape(-1, n_phi).sum(axis=1)
-    tensor = np.zeros((len(ia), hi - lo), dtype=complex, order="F")
-    step = max(1, _PAIR_BYTES // (16 * max(_CHUNK, hi - lo)))
-    for sl in _chunks(len(ks)):
-        dk = np.ascontiguousarray(_k_matrices(ks[sl], two_jmax).T)
-        dkw = dk * wj[sl]
-        dk2 = np.conj(_k_matrices(k2[sl], labels.stop - 1, labels.start))
-        for rows in _chunks(len(ia), step):
-            block = (dk[ia[rows]] * dkw[ib[rows]]) @ dk2
-            block[row_delta[rows, None] != col_delta] = 0
-            tensor[rows] += block
-    if keep:
-        kgrid._overlap_tensors.clear()
-        kgrid._overlap_tensors[two_jmax] = tensor
-    return tensor
-
-
-def _traced_kernels(rho, gs: np.ndarray, tensor: np.ndarray, two_jmax: int):
-    """``R(g) @ T`` split by the frequency of the tensor's rows, shape ``(2
-    two_jmax + 1, G, columns)``, with ``R[g, (alpha, beta)] = sum_s w_s
-    u_s,alpha(g) v_s,beta(g)`` formed a block of rows at a time, so that the
-    few ``(g, pair)`` arrays alive at once stay within ``_PAIR_BYTES``."""
-    ia, ib, bounds, _ = _pair_rows(two_jmax)
-    out = np.zeros((len(bounds) - 1, len(gs), tensor.shape[1]), dtype=complex)
-    for sl in _chunks(len(gs)):
-        coefficients = [
-            (w, *(x.T.copy() for x in _coefficients(state, gs[sl], two_jmax)))
-            for w, state in zip(rho.weights, rho.states)
-        ]
-        step = max(1, _PAIR_BYTES // (64 * (sl.stop - sl.start)))
-        for f in range(len(bounds) - 1):
-            for rows in _chunks(bounds[f + 1], step, bounds[f]):
-                r = sum(w * u[ia[rows]] * v[ib[rows]] for w, u, v in coefficients)
-                out[f, sl] += r.T @ tensor[rows]
-    return out
 
 
 def _label_terms(wg: np.ndarray, y1: np.ndarray, y2: np.ndarray, labels: range):
@@ -410,20 +447,13 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     _require_ggrid(ggrid, rho1.two_jmax + rho2.two_jmax, "overlap group integral")
     band = max(rho1.two_jmax, rho2.two_jmax)
     _require_kgrid(band, two_jsum, kgrid)
-    for grid in (ggrid, kgrid):
-        if grid.n_nodes != np.prod(grid.shape) or len(grid.weights) != grid.n_nodes:
-            raise InvalidGrid(f"{type(grid).__name__} {grid.shape}: not a product grid")
+    if ggrid.n_nodes != np.prod(ggrid.shape) or len(ggrid.weights) != ggrid.n_nodes:
+        raise InvalidGrid(f"QuadratureGrid {ggrid.shape}: not a product grid")
     n_gamma = ggrid.shape[2]
     plane = ggrid.nodes[::n_gamma]
     wg = ggrid.weights.reshape(-1, n_gamma).sum(axis=1)
-    # consecutive labels whose columns fit in _TENSOR_BYTES, at least one
-    blocks, columns = [0], _TENSOR_BYTES // (16 * len(_pair_rows(band)[0]))
-    for t in range(1, two_jsum + 1):
-        if _coefficient_count(t) - _coefficient_count(blocks[-1] - 1) > columns:
-            blocks.append(t)
     increments = np.empty(two_jsum + 1)
-    for labels in map(range, blocks, blocks[1:] + [two_jsum + 1]):
-        tensor = _overlap_tensor(kgrid, band, labels, keep=len(blocks) == 1)
+    for labels, tensor in _label_tensors(kgrid, band, two_jsum):
         y1, y2 = (_traced_kernels(r, plane, tensor, band) for r in (rho1, rho2))
         increments[labels.start : labels.stop] = _label_terms(wg, y1, y2, labels)
         del tensor, y1, y2  # before the next block is built

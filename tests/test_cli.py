@@ -136,6 +136,25 @@ def test_verify_negative_control_coarse_grid(capsys):
     assert "exact" in ortho["detail"]
 
 
+def test_verify_overlap_check_catches_single_counted_frequencies(monkeypatch):
+    # overlap_trace counts every gamma frequency f > 0 twice, once for -f;
+    # a label sum that counts it once must fail the overlap check, which
+    # compares against the traced blocks at every Haar node
+    config = cli.RunConfig()
+    entry = cli._check_overlap(config, np.random.default_rng(config.seed))
+    assert entry["error"] <= entry["tolerance"]
+    original = wigner._label_terms
+
+    def counted_once(wg, y1, y2, labels):
+        y1 = y1.copy()
+        y1[1:] *= 0.5
+        return original(wg, y1, y2, labels)
+
+    monkeypatch.setattr(wigner, "_label_terms", counted_once)
+    entry = cli._check_overlap(config, np.random.default_rng(config.seed))
+    assert entry["error"] > entry["tolerance"]
+
+
 def test_verify_deterministic_output(capsys):
     argv = ["verify", "--group", "so2", "--seed", "11"]
     _, out1, _ = run_cli(argv, capsys)

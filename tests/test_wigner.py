@@ -199,24 +199,52 @@ def test_overlap_matches_left_variant_reference():
         assert abs(inc[two_j] - ref) < 1e-12
 
 
+def _pair_kernel(rho, gs, kgrid):
+    """``w_k <g k| rho |g k^{-1}>`` at every pair of group and hemisphere
+    nodes, shape ``(G, K)``, from ``states.synthesize`` at ``g k`` and ``g
+    k^{-1}``: no coefficient vectors, tensor, ring rule or frequency split."""
+    rho = states.as_ensemble(rho)
+    gk = su2.mul(gs[:, None], kgrid.nodes)
+    gk_inv = su2.mul(gs[:, None], su2.inverse(kgrid.nodes))
+    c = sum(
+        w * states.synthesize(s, gk) * np.conj(states.synthesize(s, gk_inv))
+        for w, s in zip(rho.weights, rho.states)
+    )
+    return c * kgrid.pushforward_weights
+
+
+def _right_blocks(c, two_j, kgrid):
+    """Right traced blocks ``Y^T`` from a :func:`_pair_kernel`: summing the
+    full block over ``M = M'`` leaves ``N_J sum_k w c D^J(k^{-2})^T``."""
+    d = irreps.dmatrix(two_j, su2.inverse(kgrid.squared))
+    return (two_j + 1.0) * np.einsum("gk,kab->gba", c, d)
+
+
+def _full_direct(rho, gs, two_j, kgrid):
+    """Full blocks from the definition, ``N_J sum_k w c D^J_{MN}(g k^{-1})
+    conj(D^J_{M'N'}(g k))`` at every pair of nodes."""
+    d_inv = irreps.dmatrix(two_j, su2.mul(gs[:, None], su2.inverse(kgrid.nodes)))
+    d = irreps.dmatrix(two_j, su2.mul(gs[:, None], kgrid.nodes))
+    c = _pair_kernel(rho, gs, kgrid)
+    return (two_j + 1.0) * np.einsum("gk,gkmn,gkpq->gmnpq", c, d_inv, np.conj(d))
+
+
 def _overlap_direct(rho1, rho2, two_jsum, ggrid, kgrid):
-    # the G x K formula from the public traced blocks: the right values
-    # Y^T of both states at every group node, paired by Re tr(Y_1^T Y_2^T)
-    # for every label, with no ring rule, tensor or frequency split
+    # the G x K formula: the right values Y^T of both states at every group
+    # node, paired by Re tr(Y_1^T Y_2^T) for every label
+    c1, c2 = (_pair_kernel(r, ggrid.nodes, kgrid) for r in (rho1, rho2))
     inc = []
     for two_j in range(two_jsum + 1):
-        y1 = wigner.wigner_tilde_batch(rho1, ggrid.nodes, two_j, kgrid, "right")
-        y2 = wigner.wigner_tilde_batch(rho2, ggrid.nodes, two_j, kgrid, "right")
+        y1, y2 = (_right_blocks(c, two_j, kgrid) for c in (c1, c2))
         inc.append(np.einsum("g,gab,gba->", ggrid.weights, y1, y2).real / (two_j + 1.0))
     return np.array(inc)
 
 
-def _product_subgrid(grid, step_0, step_1):
-    """Every ``step_0``-th node along the first axis and ``step_1``-th along
-    the second of a product grid, its innermost rings whole and its weights
-    scaled by the fraction kept.  The ring rules hold on it node by node,
-    though its exactness claim does not."""
-    idx = np.arange(grid.n_nodes).reshape(grid.shape)[::step_0, ::step_1]
+def _product_subgrid(grid, index):
+    """The nodes ``index`` picks from a product grid laid out as its shape,
+    its weights scaled by the fraction kept.  With whole innermost rings the
+    ring rules hold on it node by node, though its exactness claim does not."""
+    idx = np.arange(grid.n_nodes).reshape(grid.shape)[index]
     arrays = {
         k: v[idx.ravel()] for k, v in vars(grid).items() if isinstance(v, np.ndarray)
     }
@@ -224,15 +252,25 @@ def _product_subgrid(grid, step_0, step_1):
     return dataclasses.replace(grid, shape=idx.shape, **arrays)
 
 
-# one pair of grids for every drawn case, so the cached tensors are reused;
-# the two formulas agree node by node, so product sub-grids keep the G x K
-# reference cheap: 4 of 12 alpha and 2 of 6 beta values on whole gamma
-# rings, and 10 of 29 axial and 3 of 15 theta values on whole phi rings
-# (theta indices 0, 7, 14, so the node set stays closed under inversion)
+def _ref_grids(two_jmax, two_jsum):
+    """Product sub-grids of the standard grids of a band and cutoff, small
+    enough for the G x K reference: alpha indices 1, 4, ... and even beta
+    indices on whole gamma rings, and every third axial value and the two
+    outermost theta values, mirror images, on whole phi rings."""
+    gg = _product_subgrid(grids.haar_grid_for_degree(two_jmax), np.s_[1::3, ::2])
+    return gg, _product_subgrid(_kgrid(two_jmax, two_jsum), np.s_[::3, [0, -1]])
+
+
+# one pair of grids for every drawn case, so the cached tensors are reused:
+# one whole gamma ring (24 nodes), and 3 of 29 axial and 3 of 15 theta
+# values on whole phi rings (270 nodes; theta indices 0, 7, 14, so the node
+# set stays closed under inversion)
 REF_BAND = 5
 REF_JSUM = 8
-REF_GGRID = _product_subgrid(grids.haar_grid_for_degree(REF_BAND), 3, 3)
-REF_KGRID = _product_subgrid(grids.hemisphere_grid_for(REF_BAND + REF_JSUM), 3, 7)
+REF_GGRID = _product_subgrid(grids.haar_grid_for_degree(REF_BAND), np.s_[5:6, 1:2])
+REF_KGRID = _product_subgrid(
+    grids.hemisphere_grid_for(REF_BAND + REF_JSUM), np.s_[3::12, ::7]
+)
 
 
 @st.composite
@@ -248,10 +286,33 @@ def _states(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(rho1=_states(), rho2=_states(), two_jsum=st.integers(0, REF_JSUM))
-def test_overlap_matches_direct_formula(rho1, rho2, two_jsum):
+@given(
+    rho1=_states(), rho2=_states(), two_j=st.integers(0, 4),
+    two_jsum=st.integers(0, REF_JSUM),
+)
+def test_consumers_match_gxk_reference(rho1, rho2, two_j, two_jsum):
     _, inc = wigner.overlap_trace(rho1, rho2, two_jsum, REF_GGRID, REF_KGRID)
     ref = _overlap_direct(rho1, rho2, two_jsum, REF_GGRID, REF_KGRID)
+    assert np.max(np.abs(inc - ref)) < 1e-13
+    # the pointwise values at three group nodes, the reconstruction at the
+    # first: it is the mid-point of s h and s h^{-1}, with g2^{-1} g1 = h^2
+    gs = REF_GGRID.nodes[::8]
+    full = _full_direct(rho1, gs, two_j, REF_KGRID)
+    got = wigner.wigner_full_batch(rho1, gs, two_j, REF_KGRID)
+    assert np.max(np.abs(got - full)) < 1e-13
+    for variant, trace in (("left", "gmnpn->gmp"), ("right", "gmnmq->gnq")):
+        got = wigner.wigner_tilde_batch(rho1, gs, two_j, REF_KGRID, variant)
+        assert np.max(np.abs(got - np.einsum(trace, full))) < 1e-13
+    c = _pair_kernel(rho1, gs, REF_KGRID)
+    right = [_right_blocks(c, t, REF_KGRID) for t in range(two_jsum + 1)]
+    _, inc = wigner.marginal_position(rho1, gs, two_jsum, REF_KGRID)
+    ref = np.stack([np.einsum("gaa->g", y).real for y in right], axis=-1)
+    assert np.max(np.abs(inc - ref)) < 1e-13
+    h = su2.from_euler(0.3, 0.8, -0.5)
+    g1, g2 = su2.mul(gs[0], h), su2.mul(gs[0], su2.inverse(h))
+    _, inc = wigner.reconstruct_kernel(rho1, g1, g2, two_jsum, REF_KGRID)
+    h2 = su2.mul(h, h)
+    ref = [np.sum(y[0] * irreps.dmatrix(t, h2)) for t, y in enumerate(right)]
     assert np.max(np.abs(inc - ref)) < 1e-13
 
 
@@ -321,8 +382,7 @@ def _count_kgrid_dmatrix(monkeypatch, kgrid):
 
 
 def test_overlap_tensors_cached_on_kgrid(monkeypatch):
-    gg = grids.haar_grid_for_degree(2)
-    kg = dataclasses.replace(_kgrid(2, 6))
+    gg, kg = _ref_grids(2, 6)
     calls = _count_kgrid_dmatrix(monkeypatch, kg)
     _, inc6 = wigner.overlap_trace(_random_pure(31, 2), _random_pure(32, 1), 6, gg, kg)
     assert calls
@@ -357,11 +417,10 @@ def test_overlap_tensors_not_shared_with_replaced_grid(monkeypatch):
 @pytest.mark.parametrize("two_jmax", [3, 4])
 def test_overlap_tensor_path_where_pairs_outnumber_nodes(two_jmax):
     # n^2 coefficient pairs (900, 3025) against 792 and 1274 hemisphere
-    # nodes; at band 4 the pair products are also built in two row blocks
-    kg = dataclasses.replace(_kgrid(two_jmax, 1))
+    # nodes, of which the reference's sub-grids keep 96 and 140
+    gg, kg = _ref_grids(two_jmax, 1)
     n = wigner._coefficient_count(two_jmax)
-    assert n * n > kg.n_nodes
-    gg = grids.haar_grid_for_degree(two_jmax)
+    assert n * n > _kgrid(two_jmax, 1).n_nodes
     a, b = _random_ensemble(37, two_jmax), _random_pure(38, two_jmax - 1)
     _, inc = wigner.overlap_trace(a, b, 1, gg, kg)
     assert kg._overlap_tensors
@@ -399,10 +458,11 @@ def test_overlap_over_budget_streams_and_keeps_nothing(monkeypatch):
 
 def _pair_kernel_consumers():
     """Every value computed from the pair kernel, at G = 1 000 > _CHUNK
-    group nodes; the overlap streamed one label at a time."""
+    group nodes, on a fresh copy of the hemisphere grid; the overlap
+    streamed one label at a time."""
     rho = _random_ensemble(45, 2)
     gg = grids.haar_grid_for_degree(4)
-    kg = _kgrid(2, 2)
+    kg = dataclasses.replace(_kgrid(2, 2))
     g1, g2 = su2.random_elements(np.random.default_rng(46), 2)
     with mock.patch.object(wigner, "_TENSOR_BYTES", 0):
         overlap = wigner.overlap_trace(rho, _random_pure(47, 2), 2, gg, kg)[1]
@@ -416,13 +476,25 @@ def _pair_kernel_consumers():
     ]
 
 
-def test_k_chunks_that_do_not_divide_the_grid():
-    # 37-node hemisphere chunks: 792 = 21 * 37 + 15 nodes, and the group
-    # nodes split 512 + 488
-    assert wigner._PAIR_BYTES // (16 * wigner._CHUNK) >= _kgrid(2, 2).n_nodes
+def test_k_chunks_that_do_not_divide_the_grid(monkeypatch):
+    # a 9 472-byte budget splits the 66 plane nodes of the hemisphere into
+    # chunks of 37 + 29 for the full block's 16 columns, and of 42, 65 or
+    # more for the traced tensors; every (g, pair) block is one row, and
+    # the group nodes split 512 + 488
     want = _pair_kernel_consumers()
-    with mock.patch.object(wigner, "_PAIR_BYTES", 16 * wigner._CHUNK * 37):
-        got = _pair_kernel_consumers()
+    kg = _kgrid(2, 2)
+    assert kg.shape[0] * kg.shape[1] == 66
+    monkeypatch.setattr(wigner, "_PAIR_BYTES", 16 * 16 * 37)
+    sizes = []
+    original = irreps.dmatrix
+
+    def recording(two_j, g):
+        sizes.append(len(np.atleast_2d(g)))
+        return original(two_j, g)
+
+    monkeypatch.setattr(irreps, "dmatrix", recording)
+    got = _pair_kernel_consumers()
+    assert {37, 29} <= set(sizes)
     for w, g in zip(want, got):
         assert np.max(np.abs(g - w)) < 1e-13
 
@@ -467,6 +539,55 @@ def test_overlap_tensor_evaluates_d_on_the_plane_only(monkeypatch):
     assert sizes == [plane] * (3 + 5)
 
 
+def test_full_blocks_evaluate_d_on_the_plane_only(monkeypatch):
+    # the pair factor conj(D(k)) conj(D(k)) of a full block is built on the
+    # n_axial x n_theta nodes at phi = 0, as views of the grid's nodes, and
+    # no D-matrix anywhere spans the whole hemisphere grid
+    kg = _kgrid(2, 3)
+    plane = kg.shape[0] * kg.shape[1]
+    on_grid, sizes = [], []
+    original = irreps.dmatrix
+
+    def recording(two_j, g):
+        sizes.append(len(np.atleast_2d(g)))
+        if np.may_share_memory(g, kg.nodes) or np.may_share_memory(g, kg.squared):
+            on_grid.append((len(g), g.base is not None))
+        return original(two_j, g)
+
+    monkeypatch.setattr(irreps, "dmatrix", recording)
+    gs = su2.random_elements(np.random.default_rng(59), 5)
+    wigner.wigner_full_batch(_random_ensemble(60, 2), gs, 3, kg)
+    assert on_grid and set(on_grid) == {(plane, True)}
+    assert max(sizes) == plane < kg.n_nodes
+
+
+def test_consumers_reject_grids_not_closed_under_inversion():
+    # the kernels' frequency -f is the adjoint of f only on a hemisphere
+    # grid closed under inversion (theta -> pi - theta, phi -> phi + pi);
+    # theta indices 1, 5, 9, 13 of 16 have no mirror images, every other
+    # node of a 30-node phi ring leaves an odd ring of 15, and weights
+    # tilted along z differ between mirror images
+    kg = grids.hemisphere_grid_for(14)
+    tilted = dataclasses.replace(kg, weights=kg.weights * (1.0 + 1e-3 * kg.nodes[:, 3]))
+    rho = _random_pure(58, 2)
+    gg = grids.haar_grid_for_degree(2)
+    g1, g2 = su2.random_elements(np.random.default_rng(61), 2)
+    for bad in (
+        _product_subgrid(kg, np.s_[:, 1::4]),
+        _product_subgrid(grids.hemisphere_grid_for(13), np.s_[:, :, ::2]),
+        tilted,
+    ):
+        for call in (
+            lambda: wigner.wigner_full_batch(rho, g1[None], 2, bad),
+            lambda: wigner.wigner_tilde_batch(rho, g1[None], 2, bad),
+            lambda: wigner.marginal_position(rho, g1, 2, bad),
+            lambda: wigner.reconstruct_kernel(rho, g1, g2, 2, bad),
+            lambda: wigner.overlap_trace(rho, rho, 2, gg, bad),
+        ):
+            with pytest.raises(InvalidGrid, match="not closed under inversion"):
+                call()
+
+
 def test_overlap_tensors_keep_one_band_per_grid():
     gg = grids.haar_grid_for_degree(2)
     kg = dataclasses.replace(_kgrid(2, 4))
@@ -477,8 +598,7 @@ def test_overlap_tensors_keep_one_band_per_grid():
 
 
 def test_overlap_tensor_rebuilt_for_a_larger_cutoff():
-    gg = grids.haar_grid_for_degree(2)
-    kg = dataclasses.replace(_kgrid(2, 4))
+    gg, kg = _ref_grids(2, 4)
     a, b = _random_pure(54, 2), _random_ensemble(55, 1)
     _, inc2 = wigner.overlap_trace(a, b, 2, gg, kg)
     assert kg._overlap_tensors[2].shape[1] == 14
