@@ -87,12 +87,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = dataclasses.asdict(RunConfig())
     if args.config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-        except ValueError as exc:  # also bytes that are not UTF-8
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+            file_cfg = states._read_json(args.config)
+        except SchemaError as exc:
+            raise ConfigError(f"config file: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         aliases = {
@@ -332,13 +329,27 @@ def _check_momentum_marginal(config, rng):
 
 
 def _check_hermiticity(config, rng):
+    # the blocks add their adjoint, so they are Hermitian whatever their
+    # tensors hold: they are compared with the G x K sum of their definition
     rho = states.pure_ensemble(states.random_state(rng, config.jmax_twice))
     gs = su2.random_elements(rng, 12)
     worst = 0.0
     for two_j in range(config.jmax_twice + 2):
         kgrid = grids.hemisphere_grid_for(config.jmax_twice + two_j)
-        for vals in wigner.wigner_full_batch(rho, gs, two_j, kgrid):
-            worst = max(worst, wigner.hermiticity_defect(vals))
+        w, dim = (two_j + 1.0) * kgrid.pushforward_weights, (two_j + 1) ** 2
+        blocks = wigner.wigner_full_batch(rho, gs, two_j, kgrid)
+        for g, vals in zip(gs, blocks):
+            ref = np.zeros((dim, dim), dtype=complex)
+            for sl in wigner._chunks(kgrid.n_nodes):
+                ks = kgrid.nodes[sl]
+                gk, gk_inv = su2.mul(g, ks), su2.mul(g, su2.inverse(ks))
+                c = w[sl] * states.ensemble_kernel(rho, gk, gk_inv)
+                d_inv, d = (irreps.dmatrix(two_j, h).reshape(-1, dim) for h in (gk_inv, gk))
+                ref += (c[:, None] * d_inv).T @ np.conj(d)
+            ref = ref.reshape(vals.shape)
+            worst = max(
+                worst, wigner.hermiticity_defect(ref), float(np.max(np.abs(vals - ref)))
+            )
     return {"name": "hermiticity", "error": worst, "tolerance": 1e-10}
 
 
@@ -672,16 +683,6 @@ def cmd_verify(config: RunConfig) -> int:
 # wigner tables
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # also bytes that are not UTF-8
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-
-
 def _nodes_array(payload, key, dtype=float, row=()):
     """``payload[key]`` as an array of shape ``(n, *row)``."""
     if not isinstance(payload, dict) or key not in payload:
@@ -696,11 +697,11 @@ def _nodes_array(payload, key, dtype=float, row=()):
 
 
 def _su2_table(config, state_file, nodes_file):
-    rho = states.state_from_payload(_load_json(state_file))
+    rho = states.load_state(state_file)
     if nodes_file is None:
         euler = _ggrid(config).euler
     else:
-        euler = _nodes_array(_load_json(nodes_file), "euler", row=(3,))
+        euler = _nodes_array(states._read_json(nodes_file), "euler", row=(3,))
     gs = su2.from_euler(euler[:, 0], euler[:, 1], euler[:, 2])
     j_list = list(range(config.jsum_twice + 1))
     kgrid = grids.hemisphere_grid_for(rho.two_jmax + config.jsum_twice)
@@ -721,13 +722,13 @@ def _su2_table(config, state_file, nodes_file):
 
 
 def _so2_table(config, state_file, nodes_file):
-    state = baselines.angle_from_payload(_load_json(state_file))
+    state = baselines.angle_from_payload(states._read_json(state_file))
     m_max = int(np.max(np.abs(state.m_values)))
     if nodes_file is None:
         thetas = 2.0 * np.pi * np.arange(64) / 64 - np.pi
         ms = np.arange(-2 * m_max, 2 * m_max + 1)
     else:
-        payload = _load_json(nodes_file)
+        payload = states._read_json(nodes_file)
         thetas = _nodes_array(payload, "theta")
         ms = _nodes_array(payload, "m", dtype=int)
     table = baselines.angle_wigner_table(state, thetas, ms)
@@ -736,12 +737,12 @@ def _so2_table(config, state_file, nodes_file):
 
 
 def _cartesian_table(config, state_file, nodes_file):
-    state = baselines.cartesian_from_payload(_load_json(state_file))
+    state = baselines.cartesian_from_payload(states._read_json(state_file))
     if nodes_file is None:
         qs = state.q
         ps = baselines.cartesian_p_grid(state)
     else:
-        payload = _load_json(nodes_file)
+        payload = states._read_json(nodes_file)
         qs = _nodes_array(payload, "q")
         ps = _nodes_array(payload, "p")
     table = baselines.cartesian_wigner(state, qs, ps)
@@ -773,8 +774,8 @@ def cmd_overlap(config: RunConfig, state_file_a: str, state_file_b: str) -> int:
     """Compare coefficient-space and phase-space overlaps of two states."""
     if config.group != "su2":
         raise ConfigError("overlap requires --group su2")
-    rho_a = states.state_from_payload(_load_json(state_file_a))
-    rho_b = states.state_from_payload(_load_json(state_file_b))
+    rho_a = states.load_state(state_file_a)
+    rho_b = states.load_state(state_file_b)
     grid = _ggrid(config)
     kgrid = grids.hemisphere_grid_for(
         max(rho_a.two_jmax, rho_b.two_jmax) + config.jsum_twice

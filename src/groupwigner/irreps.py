@@ -19,18 +19,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import su2
-from .errors import DomainError, GroupWignerError
+from .errors import DomainError
 
 __all__ = [
     "irrep_dim",
     "two_m_values",
-    "jacobi_polynomial",
-    "little_d",
     "little_d_matrix",
     "dmatrix",
     "character",
     "clebsch_gordan",
-    "dd_product_decompose",
 ]
 
 
@@ -42,77 +39,6 @@ def irrep_dim(two_j: int) -> int:
 def two_m_values(two_j: int) -> np.ndarray:
     """Doubled magnetic numbers in row order: ``two_j, two_j - 2, ..., -two_j``."""
     return np.arange(two_j, -two_j - 2, -2)
-
-
-def jacobi_polynomial(n: int, a: int, b: int, x):
-    """Jacobi polynomial ``P_n^{(a,b)}(x)`` by the three-term recurrence.
-
-    Parameters are restricted to integers ``n >= 0``, ``a, b >= 0`` (all that
-    the little-d formula needs), ``x`` is a scalar or array.
-    """
-    if n < 0 or a < 0 or b < 0:
-        raise ValueError("jacobi_polynomial requires n, a, b >= 0")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p = (a - b) / 2 + (a + b + 2) / 2 * x
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
-        c2 = (2 * k + a + b - 1) * (a * a - b * b)
-        c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
-        c4 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
-    return p
-
-
-def _little_d_direct(two_j: int, two_m: int, two_mp: int, beta):
-    """Little-d in the sector ``m' >= |m|`` where the closed form is regular:
-
-    ``d^j_{m m'} = sqrt[(j+m')!(j-m')! / ((j+m)!(j-m)!)] * (sin b/2)^(m'-m)
-    * (cos b/2)^(m'+m) * P^{(m'-m, m'+m)}_{j-m'}(cos b)``.
-    """
-    jp_mp = (two_j + two_mp) // 2
-    jm_mp = (two_j - two_mp) // 2
-    jp_m = (two_j + two_m) // 2
-    jm_m = (two_j - two_m) // 2
-    a = (two_mp - two_m) // 2
-    b = (two_mp + two_m) // 2
-    ln_fac = 0.5 * (
-        math.lgamma(jp_mp + 1)
-        + math.lgamma(jm_mp + 1)
-        - math.lgamma(jp_m + 1)
-        - math.lgamma(jm_m + 1)
-    )
-    beta = np.asarray(beta, dtype=float)
-    half = beta / 2
-    return (
-        math.exp(ln_fac)
-        * np.sin(half) ** a
-        * np.cos(half) ** b
-        * jacobi_polynomial(jm_mp, a, b, np.cos(beta))
-    )
-
-
-def little_d(two_j: int, two_m: int, two_mp: int, beta):
-    """Wigner little-d ``d^j_{m m'}(beta)``; ``beta`` scalar or array.
-
-    The closed form is evaluated in the sector ``m' >= |m|`` and extended by
-    the exact symmetries ``d_{m m'} = (-1)^{m - m'} d_{m' m} = d_{-m', -m}``.
-    """
-    for two_x in (two_m, two_mp):
-        if abs(two_x) > two_j or (two_j - two_x) % 2 != 0:
-            raise IndexError(
-                f"invalid magnetic index two_m={two_x} for two_j={two_j}"
-            )
-    sign = 1.0 if (two_m - two_mp) % 4 == 0 else -1.0
-    if two_mp >= abs(two_m):
-        return _little_d_direct(two_j, two_m, two_mp, beta)
-    if -two_m >= abs(two_mp):
-        return _little_d_direct(two_j, -two_mp, -two_m, beta)
-    if two_m >= abs(two_mp):
-        return sign * _little_d_direct(two_j, two_mp, two_m, beta)
-    return sign * _little_d_direct(two_j, -two_m, -two_mp, beta)
 
 
 @lru_cache(maxsize=None)
@@ -247,49 +173,3 @@ def clebsch_gordan(
         total += (-1.0) ** k * math.exp(ln_delta + ln_norm - ln_term)
     return total
 
-
-def dd_product_decompose(
-    two_j: int,
-    two_m: int,
-    two_n: int,
-    two_jp: int,
-    two_mp: int,
-    two_np: int,
-    g,
-    tol: float = 1e-8,
-):
-    """Decompose ``D^j_{mn}(g) * D^{j'}_{m'n'}(g)`` through the Clebsch-Gordan
-    series and return the recombined sum
-    ``sum_{J''} C^{j j' J''}_{m m' m''} C^{j j' J''}_{n n' n''} D^{J''}_{m'' n''}(g)``
-    with ``m'' = m + m'`` and ``n'' = n + n'``.
-
-    The sum is checked against the direct product before returning; a
-    discrepancy beyond ``tol`` raises :class:`GroupWignerError`.
-    """
-    g = np.asarray(g, dtype=float)
-    two_mpp = two_m + two_mp
-    two_npp = two_n + two_np
-    total = np.zeros(g.shape[:-1], dtype=complex)
-    for two_jpp in range(abs(two_j - two_jp), two_j + two_jp + 2, 2):
-        if abs(two_mpp) > two_jpp or abs(two_npp) > two_jpp:
-            continue
-        cm = clebsch_gordan(two_j, two_m, two_jp, two_mp, two_jpp, two_mpp)
-        cn = clebsch_gordan(two_j, two_n, two_jp, two_np, two_jpp, two_npp)
-        if cm == 0.0 or cn == 0.0:
-            continue
-        i = (two_jpp - two_mpp) // 2
-        k = (two_jpp - two_npp) // 2
-        total = total + cm * cn * dmatrix(two_jpp, g)[..., i, k]
-    im = (two_j - two_m) // 2
-    kn = (two_j - two_n) // 2
-    imp = (two_jp - two_mp) // 2
-    knp = (two_jp - two_np) // 2
-    direct = (
-        dmatrix(two_j, g)[..., im, kn] * dmatrix(two_jp, g)[..., imp, knp]
-    )
-    defect = float(np.max(np.abs(total - direct)))
-    if defect > tol:
-        raise GroupWignerError(
-            f"product decomposition inconsistent (defect {defect:.3e})"
-        )
-    return total

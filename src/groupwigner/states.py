@@ -97,15 +97,12 @@ def basis_state(
     return state
 
 
-def random_state(
-    rng: np.random.Generator, two_jmax: int, normalized: bool = True
-) -> BlockState:
+def random_state(rng: np.random.Generator, two_jmax: int) -> BlockState:
     blocks = tuple(
         rng.standard_normal((t + 1, t + 1)) + 1j * rng.standard_normal((t + 1, t + 1))
         for t in range(two_jmax + 1)
     )
-    state = BlockState(blocks)
-    return normalize_state(state) if normalized else state
+    return normalize_state(BlockState(blocks))
 
 
 def inner_product(a: BlockState, b: BlockState) -> complex:
@@ -503,10 +500,17 @@ def save_state(rho, path) -> None:
         fh.write("\n")
 
 
-def load_state(path) -> DensityEnsemble:
+def _read_json(path):
+    """The JSON value in the file at ``path``; a file that cannot be read or
+    parsed raises :class:`SchemaError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:  # also bytes that are not UTF-8
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    return state_from_payload(payload)
+
+
+def load_state(path) -> DensityEnsemble:
+    return state_from_payload(_read_json(path))

@@ -172,7 +172,7 @@ def distance(a, b):
     return np.arccos(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
 
 
-def midpoint(a, b, eps: float = ANTIPODAL_EPS):
+def midpoint(a, b):
     """Mid-point of the minimizing geodesic between ``a`` and ``b``.
 
     Computed by normalizing the chord average:
@@ -181,14 +181,14 @@ def midpoint(a, b, eps: float = ANTIPODAL_EPS):
     Raises
     ------
     AntipodalPair
-        If ``1 + a.b <= eps`` for any input pair, in which case the
+        If ``1 + a.b <= ANTIPODAL_EPS`` for any input pair, in which case the
         minimizing geodesic is not unique.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     dot = np.sum(a * b, axis=-1)
     denom = 2.0 * (1.0 + dot)
-    if np.any(denom <= 2.0 * eps):
+    if np.any(denom <= 2.0 * ANTIPODAL_EPS):
         raise AntipodalPair(
             "mid-point undefined: inputs are numerically antipodal "
             f"(min(1 + a.b) = {np.min(1.0 + dot):.3e})"
@@ -196,7 +196,7 @@ def midpoint(a, b, eps: float = ANTIPODAL_EPS):
     return (a + b) / np.sqrt(denom)[..., None]
 
 
-def group_sqrt(g, eps: float = ANTIPODAL_EPS):
+def group_sqrt(g):
     """Principal square root: the mid-point of identity and ``g``.
 
     The result ``k`` satisfies ``mul(k, k) == g`` and ``k0 > 0``; it halves
@@ -205,10 +205,10 @@ def group_sqrt(g, eps: float = ANTIPODAL_EPS):
     """
     g = np.asarray(g, dtype=float)
     e = np.broadcast_to(identity(), g.shape)
-    return midpoint(e, g, eps=eps)
+    return midpoint(e, g)
 
 
-def squaring_jacobian(k, tol: float = 1e-12):
+def squaring_jacobian(k):
     """Haar-density jacobian ``8*k0**2`` of the squaring map at ``k``.
 
     ``k`` must lie on the closed hemisphere ``k0 >= 0`` (the range of
@@ -219,11 +219,11 @@ def squaring_jacobian(k, tol: float = 1e-12):
     Raises
     ------
     DomainError
-        If any ``k0 < -tol``.
+        If any ``k0 < -1e-12``.
     """
     k = np.asarray(k, dtype=float)
     k0 = k[..., 0]
-    if np.any(k0 < -tol):
+    if np.any(k0 < -1e-12):
         raise DomainError(
             f"squaring jacobian requires k0 >= 0, got min k0 = {np.min(k0):.3e}"
         )

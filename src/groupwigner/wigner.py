@@ -51,7 +51,6 @@ __all__ = [
     "overlap_trace",
     "reconstruct_kernel",
     "wigner_bruteforce_mollified",
-    "mollified_delta_mass",
 ]
 
 _CHUNK = 512
@@ -540,26 +539,3 @@ def wigner_bruteforce_mollified(rho, g, two_j: int, epsilons, grid):
     blocks = blocks.reshape(len(eps), dim, dim, dim, dim)
     return blocks[0] if scalar_in else blocks
 
-
-def mollified_delta_mass(eps: float, grid, center=None):
-    """Mass of the geodesic Gaussian, on-grid versus analytic.
-
-    Returns ``(on_grid, analytic)`` where the analytic value is
-    ``(2/pi) * int_0^pi sin^2(chi) exp(-(chi / eps)^2) dchi``.  Their
-    agreement certifies that ``grid`` resolves a width-``eps`` mollifier.
-    """
-    from scipy.integrate import quad
-
-    if center is None:
-        center = su2.identity()
-    center = su2._as_elements(center)
-    dist = su2.distance(center, grid.nodes)
-    on_grid = float(np.sum(grid.weights * np.exp(-((dist / eps) ** 2))))
-    analytic = (2.0 / np.pi) * quad(
-        lambda chi: np.sin(chi) ** 2 * np.exp(-((chi / eps) ** 2)),
-        0.0,
-        np.pi,
-        epsabs=1e-14,
-        epsrel=1e-13,
-    )[0]
-    return on_grid, analytic

@@ -155,6 +155,24 @@ def test_verify_overlap_check_catches_single_counted_frequencies(monkeypatch):
     assert entry["error"] > entry["tolerance"]
 
 
+def test_verify_hermiticity_check_catches_a_perturbed_tensor(monkeypatch):
+    # full blocks are Hermitian by construction, whatever their tensors hold;
+    # the check compares them against the G x K sum of their definition, so
+    # noise on every plane tensor must fail it
+    config = cli.RunConfig()
+    entry = cli._check_hermiticity(config, np.random.default_rng(config.seed))
+    assert entry["error"] <= entry["tolerance"]
+    original, noise = wigner._plane_tensor, np.random.default_rng(1)
+
+    def noisy(*args):
+        tensor = original(*args)
+        return tensor + 1e-3 * noise.standard_normal(tensor.shape)
+
+    monkeypatch.setattr(wigner, "_plane_tensor", noisy)
+    entry = cli._check_hermiticity(config, np.random.default_rng(config.seed))
+    assert entry["error"] > entry["tolerance"]
+
+
 def test_verify_deterministic_output(capsys):
     argv = ["verify", "--group", "so2", "--seed", "11"]
     _, out1, _ = run_cli(argv, capsys)

@@ -6,6 +6,7 @@ rules), from adaptive quadrature of the axial Chebyshev moments, and from
 structural invariants such as inversion closure.
 """
 
+import ast
 import dataclasses
 import os
 import subprocess
@@ -114,8 +115,23 @@ def test_axial_rule_chebyshev_moments_match_adaptive_quadrature(n_axial):
     assert np.max(np.abs(moments - ref)) <= 1e-14
 
 
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency only: the package runs on numpy alone
+    for path in sorted(Path(grids.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "scipy" not in {n.split(".")[0] for n in names}, (
+                f"{path.name}:{node.lineno} imports scipy"
+            )
+
+
 def test_package_import_leaves_scipy_unloaded():
-    # scipy is needed only by the brute-force oracle, which imports it lazily
+    # nothing that the package imports, numpy included, loads scipy
     code = "import sys, groupwigner.cli; print('scipy' in sys.modules)"
     src = str(Path(grids.__file__).resolve().parents[1])
     out = subprocess.run(

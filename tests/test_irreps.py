@@ -1,10 +1,10 @@
 """
 Tests for the irreducible representation matrices and Clebsch-Gordan algebra.
-Independent references built in this file: scipy's Jacobi polynomials, matrix
-exponentials of literal angular-momentum ladder matrices, hand-written
-spin-1/2 and spin-1 rotation matrices, the standard coupling tables for
-1/2 x 1/2 and 1 x 1/2 and 1 x 1, and the closed-form ``little_d`` against
-which the production little-d matrices are property-tested at large labels.
+Independent references built in this file: matrix exponentials of literal
+angular-momentum ladder matrices, hand-written spin-1/2 and spin-1 rotation
+matrices, the standard coupling tables for 1/2 x 1/2 and 1 x 1/2 and 1 x 1,
+and the closed-form little-d on scipy's Jacobi polynomials, against which
+the production little-d matrices are property-tested at large labels.
 """
 
 import math
@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from scipy.special import eval_jacobi
 
 from groupwigner import irreps, su2
-from groupwigner.errors import DomainError, GroupWignerError
+from groupwigner.errors import DomainError
 
 RNG_SEED = 20240812
 
@@ -41,21 +41,6 @@ def test_irrep_dim_and_two_m_values():
     assert irreps.irrep_dim(5) == 6
     assert np.array_equal(irreps.two_m_values(3), [3, 1, -1, -3])
     assert np.array_equal(irreps.two_m_values(0), [0])
-
-
-@pytest.mark.parametrize("n,a,b", [(0, 0, 0), (1, 2, 0), (3, 1, 1), (5, 0, 3), (7, 4, 2)])
-def test_jacobi_polynomial_matches_scipy(n, a, b):
-    x = np.linspace(-1.0, 1.0, 21)
-    assert_allclose(
-        irreps.jacobi_polynomial(n, a, b, x), eval_jacobi(n, a, b, x), atol=1e-11
-    )
-
-
-def test_jacobi_polynomial_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        irreps.jacobi_polynomial(-1, 0, 0, 0.5)
-    with pytest.raises(ValueError):
-        irreps.jacobi_polynomial(2, -1, 0, 0.5)
 
 
 def test_little_d_half_frozen():
@@ -88,7 +73,7 @@ def test_little_d_matches_generator_exponential(two_j, beta):
     assert np.max(np.abs(reference.imag)) < 1e-12
 
 
-def test_little_d_symmetries_and_index_errors():
+def test_little_d_symmetries():
     beta = 0.9
     for two_j in (2, 3, 5):
         d = irreps.little_d_matrix(two_j, beta)
@@ -97,10 +82,31 @@ def test_little_d_symmetries_and_index_errors():
             for k, two_mp in enumerate(tm):
                 sign = (-1.0) ** ((two_m - two_mp) // 2)
                 assert_allclose(d[i, k], sign * d[k, i], atol=1e-13)
-    with pytest.raises(IndexError):
-        irreps.little_d(2, 3, 0, 0.5)
-    with pytest.raises(IndexError):
-        irreps.little_d(2, 1, 0, 0.5)
+
+
+def _little_d(two_j, two_m, two_mp, beta):
+    """Closed-form ``d^j_{m m'}(beta)``.  In the sector ``m' >= |m|`` it is
+
+    ``sqrt[(j+m')!(j-m')! / ((j+m)!(j-m)!)] (sin b/2)^(m'-m) (cos b/2)^(m'+m)
+    P^{(m'-m, m'+m)}_{j-m'}(cos b)``,
+
+    and the symmetries ``d_{m m'} = (-1)^{m - m'} d_{m' m} = d_{-m', -m}``
+    carry every other entry into it."""
+    sign = (-1.0) ** ((two_m - two_mp) // 2)
+    for m, mp, s in (
+        (two_m, two_mp, 1.0), (-two_mp, -two_m, 1.0),
+        (two_mp, two_m, sign), (-two_m, -two_mp, sign),
+    ):
+        if mp >= abs(m):
+            break
+    ln_fac = 0.5 * (
+        math.lgamma((two_j + mp) // 2 + 1) + math.lgamma((two_j - mp) // 2 + 1)
+        - math.lgamma((two_j + m) // 2 + 1) - math.lgamma((two_j - m) // 2 + 1)
+    )
+    a, b = (mp - m) // 2, (mp + m) // 2
+    beta = np.asarray(beta, dtype=float)
+    jacobi = eval_jacobi((two_j - mp) // 2, a, b, np.cos(beta))
+    return s * math.exp(ln_fac) * np.sin(beta / 2) ** a * np.cos(beta / 2) ** b * jacobi
 
 
 # beta anywhere in [0, pi], with extra weight on the ends, where the
@@ -144,7 +150,7 @@ def test_little_d_matrix_matches_closed_form(two_j, betas, data):
     k = data.draw(st.integers(0, two_j), label="column")
     for n in range(two_j + 1):
         for row, col in ((i, n), (n, k)):
-            want = irreps.little_d(two_j, int(tm[row]), int(tm[col]), betas)
+            want = _little_d(two_j, int(tm[row]), int(tm[col]), betas)
             assert_allclose(d[:, row, col], want, rtol=0, atol=1e-12)
 
 
@@ -365,31 +371,22 @@ def test_clebsch_gordan_completeness():
 
 
 def test_dd_product_decompose_matches_direct_product():
+    # the Clebsch-Gordan series D^j1 (x) D^j2 = C (+)_J D^J C^T, entrywise
+    # D^j1_mn D^j2_m'n' = sum_J <j1 m; j2 m'|J M> <j1 n; j2 n'|J N> D^J_MN
     rng = np.random.default_rng(RNG_SEED)
     g = su2.random_elements(rng, 8)
-    cases = [
-        (1, 1, -1, 1, -1, 1),
-        (2, 0, 2, 1, 1, -1),
-        (2, 2, -2, 2, 0, 0),
-        (3, 1, -1, 2, 2, 0),
-    ]
-    for two_j, two_m, two_n, two_jp, two_mp, two_np in cases:
-        got = irreps.dd_product_decompose(
-            two_j, two_m, two_n, two_jp, two_mp, two_np, g, tol=1e-10
-        )
-        i = (two_j - two_m) // 2
-        k = (two_j - two_n) // 2
-        ip = (two_jp - two_mp) // 2
-        kp = (two_jp - two_np) // 2
-        direct = (
-            irreps.dmatrix(two_j, g)[:, i, k]
-            * irreps.dmatrix(two_jp, g)[:, ip, kp]
-        )
-        assert_allclose(got, direct, atol=1e-12)
-
-
-def test_dd_product_decompose_raises_on_impossible_tolerance():
-    rng = np.random.default_rng(RNG_SEED)
-    g = su2.random_elements(rng, 2)
-    with pytest.raises(GroupWignerError):
-        irreps.dd_product_decompose(2, 0, 0, 2, 0, 0, g, tol=1e-30)
+    for two_j1, two_j2 in [(1, 1), (2, 1), (2, 2), (3, 2)]:
+        labels = range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)
+        c = np.array([
+            [irreps.clebsch_gordan(two_j1, m1, two_j2, m2, t, m)
+             for t in labels for m in irreps.two_m_values(t).tolist()]
+            for m1 in irreps.two_m_values(two_j1).tolist()
+            for m2 in irreps.two_m_values(two_j2).tolist()
+        ])
+        coupled, lo = np.zeros((len(g),) + c.shape, dtype=complex), 0
+        for t in labels:
+            coupled[:, lo : lo + t + 1, lo : lo + t + 1] = irreps.dmatrix(t, g)
+            lo += t + 1
+        d1, d2 = irreps.dmatrix(two_j1, g), irreps.dmatrix(two_j2, g)
+        product = np.einsum("gab,gcd->gacbd", d1, d2).reshape(coupled.shape)
+        assert_allclose(c @ coupled @ c.T, product, rtol=0, atol=1e-12)

@@ -432,3 +432,5 @@ def test_save_and_load_state(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(SchemaError):
         states.load_state(bad)
+    with pytest.raises(SchemaError, match="cannot read"):
+        states.load_state(tmp_path / "missing.json")

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from groupwigner import grids, irreps, states, su2, wigner
 from groupwigner.errors import AntipodalPair, DomainError, GridTooCoarse, InvalidGrid
@@ -751,9 +752,6 @@ ELEMENT_ENTRY_POINTS = {
     "wigner_bruteforce_mollified": lambda s, g, kg: wigner.wigner_bruteforce_mollified(
         s, g, 0, 0.3, grids.haar_grid(2, 1, 4)
     ),
-    "mollified_delta_mass": lambda s, g, kg: wigner.mollified_delta_mass(
-        0.3, grids.haar_grid(2, 1, 4), g
-    ),
 }
 
 
@@ -808,12 +806,24 @@ def test_bruteforce_mollified_stacks_widths():
     assert_allclose(stacked[1], single, atol=1e-13)
 
 
+def _mollified_delta_mass(eps, grid):
+    """Mass of the geodesic Gaussian ``exp(-(d / eps)^2)`` about the identity,
+    ``(on_grid, analytic)`` with the analytic value ``(2/pi) int_0^pi
+    sin^2(chi) exp(-(chi / eps)^2) dchi``: they agree when ``grid`` resolves
+    a mollifier of width ``eps``."""
+    dist = su2.distance(su2.identity(), grid.nodes)
+    on_grid = float(np.sum(grid.weights * np.exp(-((dist / eps) ** 2))))
+    analytic = (2.0 / np.pi) * quad(
+        lambda chi: np.sin(chi) ** 2 * np.exp(-((chi / eps) ** 2)),
+        0.0, np.pi, epsabs=1e-14, epsrel=1e-13,
+    )[0]
+    return on_grid, analytic
+
+
 def test_mollified_delta_mass_agreement():
-    on_grid, analytic = wigner.mollified_delta_mass(0.3, GGRID)
+    on_grid, analytic = _mollified_delta_mass(0.3, GGRID)
     assert analytic > 0
     assert abs(on_grid - analytic) / analytic < 5e-3
     # a width below the grid resolution must be flagged by a visible mismatch
-    on_coarse, analytic_fine = wigner.mollified_delta_mass(
-        0.01, grids.haar_grid(4, 2, 8)
-    )
+    on_coarse, analytic_fine = _mollified_delta_mass(0.01, grids.haar_grid(4, 2, 8))
     assert abs(on_coarse - analytic_fine) / analytic_fine > 0.5
