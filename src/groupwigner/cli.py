@@ -777,6 +777,15 @@ def cmd_overlap(config: RunConfig, state_file_a: str, state_file_b: str) -> int:
     rho_a = states.load_state(state_file_a)
     rho_b = states.load_state(state_file_b)
     grid = _ggrid(config)
+    band = rho_a.two_jmax + rho_b.two_jmax
+    if 2 * grid.exactness_degree < band:
+        # the hemisphere grid is sized from the states, the group grid is not
+        need = grids.haar_grid_for_degree((band + 1) // 2).shape
+        raise GridTooCoarse(
+            f"the overlap integrand has irrep band {band}, but --grid "
+            f"{'x'.join(map(str, grid.shape))} is exact only to band "
+            f"{2 * grid.exactness_degree}; use --grid {'x'.join(map(str, need))} or finer"
+        )
     kgrid = grids.hemisphere_grid_for(
         max(rho_a.two_jmax, rho_b.two_jmax) + config.jsum_twice
     )

@@ -10,6 +10,7 @@ exactly (to ``_TOL``).  Both certificates are the one moment test of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,16 @@ __all__ = [
 ]
 
 
+def _check_lengths(grid, **rules) -> None:
+    """Raise unless each named 1-D rule has one weight per value."""
+    for name, (values, weights) in rules.items():
+        if len(values) != len(weights):
+            raise InvalidGrid(
+                f"{type(grid).__name__}: {name} rule has {len(values)} values "
+                f"but {len(weights)} weights"
+            )
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Product quadrature for normalized Haar measure in Euler angles.
@@ -39,15 +50,30 @@ class QuadratureGrid:
     guarantee covers all Gram products with ``two_j <= 2 * exactness_degree``.
     """
 
-    shape: tuple[int, int, int]
-    euler: np.ndarray      # (n, 3) columns alpha, beta, gamma
-    nodes: np.ndarray      # (n, 4)
-    weights: np.ndarray    # (n,), sums to 1
+    alpha: np.ndarray         # (n_alpha,), each of weight 1 / n_alpha
+    beta: np.ndarray          # (n_beta,)
+    beta_weights: np.ndarray  # (n_beta,), sums to 1
+    n_gamma: int              # uniform gamma over [0, 4 pi)
     exactness_degree: int
+    # derived from the 1-D rules above when the grid is built
+    shape: tuple[int, int, int] = field(init=False)
+    n_nodes: int = field(init=False)
+    euler: np.ndarray = field(init=False)    # (n, 3) columns alpha, beta, gamma
+    nodes: np.ndarray = field(init=False)    # (n, 4)
+    weights: np.ndarray = field(init=False)  # (n,), sums to 1
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+    def __post_init__(self):
+        _check_lengths(self, beta=(self.beta, self.beta_weights))
+        shape = (len(self.alpha), len(self.beta), int(self.n_gamma))
+        gamma = 4 * np.pi * np.arange(self.n_gamma) / self.n_gamma
+        euler = np.stack(
+            np.meshgrid(self.alpha, self.beta, gamma, indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        w = np.tile(np.repeat(self.beta_weights, self.n_gamma), len(self.alpha))
+        vars(self).update(
+            shape=shape, n_nodes=math.prod(shape), euler=euler,
+            nodes=su2.from_euler(*euler.T), weights=w / (shape[0] * shape[2]),
+        )
 
 
 @dataclass(frozen=True)
@@ -61,28 +87,55 @@ class HemisphereGrid:
     ``exactness_twice`` is the largest value of ``2*j_max + 2*J``
     (doubled-index sum) for which the mid-point Wigner integrand — jacobian
     x state-pair kernel x two ``D^J`` factors — is a polynomial in the node
-    components that the grid integrates exactly.  The node set is closed
-    under group inversion, which makes Hermiticity of computed blocks exact.
+    components that the grid integrates exactly.  Building the grid checks
+    that its node set is closed under inversion, which makes Hermiticity of
+    computed blocks exact.
     """
 
-    shape: tuple[int, int, int]
-    nodes: np.ndarray      # (K, 4), all a0 > 0
-    weights: np.ndarray    # (K,), sums to 1/2
-    jacobian: np.ndarray   # (K,) = 8 * a0**2
-    squared: np.ndarray    # (K, 4) the nodes squared in the group
+    axial: np.ndarray          # (n_axial,) values of a0, all > 0
+    axial_weights: np.ndarray  # (n_axial,)
+    cos_theta: np.ndarray      # (n_theta,), mirror-symmetric about 0
+    theta_weights: np.ndarray  # (n_theta,), mirror-symmetric
+    n_phi: int                 # even, uniform phi over [0, 2 pi)
     exactness_twice: int
+    # derived from the 1-D rules above when the grid is built
+    shape: tuple[int, int, int] = field(init=False)
+    n_nodes: int = field(init=False)
+    nodes: np.ndarray = field(init=False)     # (K, 4)
+    weights: np.ndarray = field(init=False)   # (K,), sums to 1/2
+    jacobian: np.ndarray = field(init=False)  # (K,) = 8 * a0**2
+    squared: np.ndarray = field(init=False)   # (K, 4) the nodes squared in the group
     # the state-independent tensor of wigner's label sums, all labels to the
     # largest cutoff asked for stacked in one array, keyed by the state
     # band and holding one band at a time (at most wigner._TENSOR_BYTES);
-    # a dataclasses.replace copy starts empty, since its nodes or weights
-    # may differ
+    # a dataclasses.replace copy starts empty, since its rules may differ
     _overlap_tensors: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+    def __post_init__(self):
+        ct, wth = self.cos_theta, self.theta_weights
+        _check_lengths(self, axial=(self.axial, self.axial_weights), theta=(ct, wth))
+        shape = (len(self.axial), len(ct), int(self.n_phi))
+        mirrored = np.allclose(ct[::-1], -ct, rtol=0, atol=1e-12)
+        mirrored &= np.allclose(wth[::-1], wth, rtol=1e-12, atol=0)
+        if self.n_phi % 2 or not mirrored:
+            raise InvalidGrid(f"HemisphereGrid {shape}: not closed under inversion")
+        if not np.all(self.axial > 0.0):
+            raise AntipodalNode("hemisphere node on the singular equator a0 = 0")
+        phi = 2 * np.pi * np.arange(self.n_phi) / self.n_phi
+        tt, cth, ph = np.meshgrid(self.axial, ct, phi, indexing="ij")
+        sth = np.sqrt(1.0 - cth**2)
+        r = np.sqrt(1.0 - tt**2)
+        nodes = np.stack(
+            [tt, r * sth * np.cos(ph), r * sth * np.sin(ph), r * cth], axis=-1
+        ).reshape(-1, 4)
+        w = np.repeat(np.outer(self.axial_weights, wth).reshape(-1), self.n_phi)
+        vars(self).update(
+            shape=shape, n_nodes=math.prod(shape), weights=w / (np.pi * shape[2]),
+            nodes=nodes, squared=su2.mul(nodes, nodes),
+            jacobian=su2.squaring_jacobian(nodes),
+        )
 
     @property
     def pushforward_weights(self) -> np.ndarray:
@@ -122,14 +175,12 @@ def _verify_haar(grid: QuadratureGrid) -> float:
     """Certify ``two_t <= 4B``, true iff every ``D^J conj(D^J')`` with
     ``J, J' <= B`` is exact; the plane is the beta line at alpha = gamma = 0."""
     top = 4 * grid.exactness_degree
-    euler = grid.euler.reshape(grid.shape + (3,))
     half_m = np.arange(-top, top + 1) / 2.0
-    e_alpha = np.exp(-1j * np.outer(half_m, euler[:, 0, 0, 0]))
-    e_gamma = np.exp(-1j * np.outer(euler[0, 0, :, 2], half_m))
-    # f[b, m, n] = sum_{a, c} e^{-i m alpha_a} w[a, b, c] e^{-i n gamma_c}
-    f = e_alpha @ np.moveaxis(grid.weights.reshape(grid.shape), 1, 0) @ e_gamma
-    plane = grid.nodes.reshape(grid.shape + (4,))[0, :, 0]
-    return _certify(grid, plane, lambda m, n: f[:, m, n], top)
+    gamma = 4 * np.pi * np.arange(grid.n_gamma) / grid.n_gamma
+    # f[b, m, n] = w_b <e^{-i m alpha}> <e^{-i n gamma}>, means over the rules
+    ea, eg = (np.exp(-1j * np.outer(half_m, x)).mean(1) for x in (grid.alpha, gamma))
+    f = grid.beta_weights[:, None, None] * np.outer(ea, eg)
+    return _certify(grid, su2.from_euler(0.0, grid.beta, 0.0), lambda m, n: f[:, m, n], top)
 
 
 @lru_cache(maxsize=None)
@@ -142,19 +193,12 @@ def haar_grid(n_alpha: int, n_beta: int, n_gamma: int) -> QuadratureGrid:
         raise InvalidGrid(
             f"grid shape must be positive, got {(n_alpha, n_beta, n_gamma)}"
         )
-    alphas = 2 * np.pi * np.arange(n_alpha) / n_alpha
+    alpha = 2 * np.pi * np.arange(n_alpha) / n_alpha
     x, wb = leggauss(n_beta)
-    betas = np.arccos(x)
-    gammas = 4 * np.pi * np.arange(n_gamma) / n_gamma
-    euler = np.stack(
-        np.meshgrid(alphas, betas, gammas, indexing="ij"), axis=-1
-    ).reshape(-1, 3)
+    degree = _haar_exactness_degree(n_alpha, n_beta, n_gamma)
     grid = QuadratureGrid(
-        shape=(n_alpha, n_beta, n_gamma),
-        euler=euler,
-        nodes=su2.from_euler(euler[:, 0], euler[:, 1], euler[:, 2]),
-        weights=np.tile(np.repeat(wb / 2.0, n_gamma), n_alpha) / (n_alpha * n_gamma),
-        exactness_degree=_haar_exactness_degree(n_alpha, n_beta, n_gamma),
+        alpha=alpha, beta=np.arccos(x), beta_weights=wb / 2.0, n_gamma=n_gamma,
+        exactness_degree=degree,
     )
     _verify_haar(grid)
     return grid
@@ -195,9 +239,9 @@ def _verify_hemisphere(grid: HemisphereGrid) -> float:
     """Certify ``sum_k w_k J_k D^t(k^2) = delta_{t0}`` for ``two_t <=
     exactness_twice``.  A node at azimuth phi is its ring's node at phi = 0
     turned about z, so ``D^t(k^2)_{mn}`` gains ``e^{-i (m - n) phi}``."""
-    top, n_phi = grid.exactness_twice, grid.shape[2]
+    top, n_phi = grid.exactness_twice, grid.n_phi
     w = grid.pushforward_weights.reshape(-1, n_phi)
-    phi = np.arctan2(grid.nodes[:n_phi, 2], grid.nodes[:n_phi, 1])
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
     # f[p, q] = sum_phi w[p, phi] e^{-i (m - n) phi} at m - n = q / 2 - top
     f = w @ np.exp(-0.5j * np.outer(phi, np.arange(-2 * top, 2 * top + 1)))
     defect = _certify(
@@ -227,27 +271,11 @@ def hemisphere_grid(n_axial: int, n_theta: int, n_phi: int) -> HemisphereGrid:
         raise InvalidGrid(
             f"hemisphere shape must be >= (1,1,2), got {(n_axial, n_theta, n_phi)}"
         )
-    if n_phi % 2:
-        raise InvalidGrid(f"n_phi must be even, got {n_phi}")
+    p_exact = min(n_axial - 1, 2 * n_theta - 1, n_phi - 1)
     t, wt = _axial_rule(n_axial)
     ct, wth = leggauss(n_theta)
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    tt, cth, ph = np.meshgrid(t, ct, phi, indexing="ij")
-    sth = np.sqrt(1.0 - cth**2)
-    r = np.sqrt(1.0 - tt**2)
-    nodes = np.stack(
-        [tt, r * sth * np.cos(ph), r * sth * np.sin(ph), r * cth], axis=-1
-    ).reshape(-1, 4)
-    w = np.repeat(np.outer(wt, wth).reshape(-1), n_phi) / (np.pi * n_phi)
-    if np.min(nodes[:, 0]) <= 0.0:
-        raise AntipodalNode("hemisphere node on the singular equator a0 = 0")
-    p_exact = min(n_axial - 1, 2 * n_theta - 1, n_phi - 1)
     grid = HemisphereGrid(
-        shape=(n_axial, n_theta, n_phi),
-        nodes=nodes,
-        weights=w,
-        jacobian=su2.squaring_jacobian(nodes),
-        squared=su2.mul(nodes, nodes),
+        axial=t, axial_weights=wt, cos_theta=ct, theta_weights=wth, n_phi=n_phi,
         exactness_twice=max((p_exact - 2) // 2, 0),
     )
     _verify_hemisphere(grid)

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import irreps, su2
-from .errors import GridTooCoarse, InvalidGrid
+from .errors import GridTooCoarse
 from .states import as_ensemble, synthesize
 
 __all__ = [
@@ -170,16 +170,9 @@ def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> np.nda
     node, weighted by the ring, where row and column deltas agree, and to
     zero elsewhere (exact on a grid certified for the integrand).  The rows
     stop at ``f >= 0`` since kernels are Hermitian on a grid closed under
-    inversion (``theta -> pi - theta``, ``phi -> phi + pi``)."""
-    n_axial, n_theta, n_phi = kgrid.shape
-    if kgrid.n_nodes != n_axial * n_theta * n_phi or len(kgrid.weights) != kgrid.n_nodes:
-        raise InvalidGrid(f"HemisphereGrid {kgrid.shape}: not a product grid")
-    ks, k2 = kgrid.nodes[::n_phi], kgrid.squared[::n_phi]
-    wj = kgrid.pushforward_weights.reshape(-1, n_phi).sum(axis=1)
-    plane, ring = ks.reshape(n_axial, n_theta, 4), wj.reshape(n_axial, n_theta)
-    mirrored = np.allclose(plane[:, ::-1] * (1, 1, 1, -1), plane, rtol=0, atol=1e-12)
-    if n_phi % 2 or not (mirrored and np.allclose(ring[:, ::-1], ring, rtol=1e-12, atol=0)):
-        raise InvalidGrid(f"HemisphereGrid {kgrid.shape}: not closed under inversion")
+    inversion (``theta -> pi - theta``, ``phi -> phi + pi``), as every grid is."""
+    ks, k2 = kgrid.nodes[:: kgrid.n_phi], kgrid.squared[:: kgrid.n_phi]
+    wj = kgrid.pushforward_weights.reshape(-1, kgrid.n_phi).sum(axis=1)
     ia, ib, _, row_delta = _pair_rows(two_jmax)
     tensor = np.zeros((len(ia), len(col_delta)), dtype=complex, order="F")
     step = max(1, _PAIR_BYTES // (16 * max(_CHUNK, len(col_delta))))
@@ -446,11 +439,8 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     _require_ggrid(ggrid, rho1.two_jmax + rho2.two_jmax, "overlap group integral")
     band = max(rho1.two_jmax, rho2.two_jmax)
     _require_kgrid(band, two_jsum, kgrid)
-    if ggrid.n_nodes != np.prod(ggrid.shape) or len(ggrid.weights) != ggrid.n_nodes:
-        raise InvalidGrid(f"QuadratureGrid {ggrid.shape}: not a product grid")
-    n_gamma = ggrid.shape[2]
-    plane = ggrid.nodes[::n_gamma]
-    wg = ggrid.weights.reshape(-1, n_gamma).sum(axis=1)
+    plane = ggrid.nodes[:: ggrid.n_gamma]
+    wg = ggrid.weights.reshape(-1, ggrid.n_gamma).sum(axis=1)
     increments = np.empty(two_jsum + 1)
     for labels, tensor in _label_tensors(kgrid, band, two_jsum):
         y1, y2 = (_traced_kernels(r, plane, tensor, band) for r in (rho1, rho2))

@@ -223,6 +223,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert not (tmp_path / "missing").exists()
 
 
+def test_overlap_names_the_grid_flag_that_is_too_coarse(tmp_path, capsys):
+    # the hemisphere grid is sized from the states, the group grid comes
+    # from --grid: two band-7 states need band 14, past the default 14x7x28
+    rng = np.random.default_rng(7)
+    files = [str(tmp_path / f"{x}.json") for x in "ab"]
+    for f in files:
+        states.save_state(states.random_state(rng, 7), f)
+    code, out, err = run_cli(["overlap", *files, "--jsum", "2", "--tol", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: GridTooCoarse: ") and err.count("\n") == 1
+    assert "band 14" in err and "--grid 14x7x28 is exact only to band 12" in err
+    assert "use --grid 16x8x32 or finer" in err
+    assert grids.haar_grid(16, 8, 32).exactness_degree == 7
+    code, out, _ = run_cli(
+        ["overlap", *files, "--jsum", "2", "--tol", "1", "--grid", "16x8x32"], capsys
+    )
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_config_file_with_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

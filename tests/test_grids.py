@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from groupwigner import cli, grids, irreps, su2
-from groupwigner.errors import InvalidGrid
+from groupwigner.errors import AntipodalNode, InvalidGrid
 from groupwigner.grids import _axial_rule
 
 
@@ -191,18 +191,34 @@ def test_hemisphere_grid_pushforward_annihilates_irreps(shape):
     assert abs(grids._verify_hemisphere(grid) - per_node) <= 1e-13
 
 
+def _zero_sum_noise(rng, rule, *keep):
+    """Noise of scale 1e-6 on the weights of a 1-D rule, orthogonal to
+    ``1`` and to every array in ``keep``, so those weighted sums stay."""
+    basis = np.stack([np.ones_like(rule), *keep], axis=1)
+    noise = rng.normal(scale=1e-6, size=len(rule))
+    return noise - basis @ np.linalg.lstsq(basis, noise, rcond=None)[0]
+
+
 @pytest.mark.parametrize("kind", ["haar", "hemisphere"])
 def test_certificates_match_node_by_node_sums_on_noisy_weights(kind, monkeypatch):
-    # zero-sum noise on every torus fibre keeps the weight sums, and every
-    # moment it leaves must be the one summed node by node
+    # zero-sum noise on the weights of the 1-D rules keeps the weight sums
+    # (the axial noise keeps sum w t^2 too, so the pushforward weights still
+    # sum to 1, and the theta noise is mirror-symmetric), and every moment
+    # it leaves must be the one summed node by node
     monkeypatch.setattr(grids, "_TOL", np.inf)
+    rng = np.random.default_rng(3)
     if kind == "haar":
-        grid, fibre = grids.haar_grid_for_degree(2), (0, 2)
+        grid = grids.haar_grid_for_degree(2)
+        noise = _zero_sum_noise(rng, grid.beta)
+        grid = dataclasses.replace(grid, beta_weights=grid.beta_weights + noise)
     else:
-        grid, fibre = grids.hemisphere_grid(15, 8, 16), 2
-    noise = np.random.default_rng(3).normal(scale=1e-6, size=grid.shape)
-    noise -= noise.mean(axis=fibre, keepdims=True)
-    grid = dataclasses.replace(grid, weights=grid.weights + noise.reshape(-1))
+        grid = grids.hemisphere_grid(15, 8, 16)
+        axial = _zero_sum_noise(rng, grid.axial, grid.axial**2)
+        theta = _zero_sum_noise(rng, grid.cos_theta)
+        grid = dataclasses.replace(
+            grid, axial_weights=grid.axial_weights + axial,
+            theta_weights=grid.theta_weights + (theta + theta[::-1]),
+        )
     if kind == "haar":
         factored = grids._verify_haar(grid)
         want = _node_by_node_defect(grid.weights, grid.nodes, 4 * grid.exactness_degree)
@@ -217,14 +233,13 @@ def test_certificates_match_node_by_node_sums_on_noisy_weights(kind, monkeypatch
 
 @pytest.mark.parametrize("shift", [[1e-8, 0.0], [1e-8, -1e-8]], ids=["one", "moved"])
 def test_verify_hemisphere_rejects_a_perturbed_weight(shift):
-    # nodes 100 and 101 share one phi ring, so "moved" keeps every weight
-    # sum and breaks only the azimuthal product structure
+    # "one" shifts one axial weight; "moved" moves weight between two axial
+    # values and keeps the weight sum of the rule and of the grid
     grid = grids.hemisphere_grid_for(14)
-    assert grid.shape[2] == 32 and 100 // 32 == 101 // 32
-    weights = grid.weights.copy()
-    weights[[100, 101]] += shift
+    weights = grid.axial_weights.copy()
+    weights[[3, 4]] += shift
     with pytest.raises(InvalidGrid, match="moment defect"):
-        grids._verify_hemisphere(dataclasses.replace(grid, weights=weights))
+        grids._verify_hemisphere(dataclasses.replace(grid, axial_weights=weights))
 
 
 def test_hemisphere_certificate_evaluates_irreps_on_one_plane(monkeypatch):
@@ -290,12 +305,13 @@ def test_verify_haar_rejects_overclaimed_degree():
 
 @pytest.mark.parametrize("shift", [[1e-8, 0.0], [1e-8, -1e-8]], ids=["one", "moved"])
 def test_verify_haar_rejects_a_perturbed_weight(shift):
-    # "moved" keeps the weight sum and breaks only the product structure
+    # "one" shifts one beta weight; "moved" moves weight between two beta
+    # values and keeps the weight sum
     grid = grids.haar_grid(14, 7, 28)
-    weights = grid.weights.copy()
-    weights[[100, 101]] += shift
+    weights = grid.beta_weights.copy()
+    weights[[2, 3]] += shift
     with pytest.raises(InvalidGrid):
-        grids._verify_haar(dataclasses.replace(grid, weights=weights))
+        grids._verify_haar(dataclasses.replace(grid, beta_weights=weights))
 
 
 def test_verify_su2_builds_its_grid_once(tmp_path, monkeypatch):
@@ -303,9 +319,10 @@ def test_verify_su2_builds_its_grid_once(tmp_path, monkeypatch):
     built = []
     build = grids.QuadratureGrid
 
-    def counting(**fields):
-        built.append(fields["shape"])
-        return build(**fields)
+    def counting(*rules, **fields):
+        grid = build(*rules, **fields)
+        built.append(grid.shape)
+        return grid
 
     monkeypatch.setattr(grids, "QuadratureGrid", counting)
     out = str(tmp_path / "report.json")
@@ -321,6 +338,68 @@ def test_verify_hemisphere_rejects_overclaimed_band():
     )
     with pytest.raises(InvalidGrid):
         grids._verify_hemisphere(overclaimed)
+
+
+def _rules(grid):
+    """The constructor fields of a grid: its 1-D rules and exactness claim."""
+    return {f.name: getattr(grid, f.name) for f in dataclasses.fields(grid) if f.init}
+
+
+def test_grids_are_built_from_their_rules():
+    # the node arrays, shape and n_nodes are derived from the rules, as plain
+    # Python ints even from NumPy integers, and cannot be set apart from them;
+    # a rule needs one weight per value, also where a single weight would
+    # broadcast over the values
+    for grid, ring, rules in (
+        (grids.haar_grid(14, 7, 28), "n_gamma", [("beta", "beta_weights")]),
+        (grids.hemisphere_grid(7, 4, 8), "n_phi",
+         [("axial", "axial_weights"), ("cos_theta", "theta_weights")]),
+    ):
+        for values, weights in rules:
+            for bad in (
+                {values: getattr(grid, values)[::2]},
+                {weights: getattr(grid, weights)[:1]},
+            ):
+                with pytest.raises(InvalidGrid, match="values but"):
+                    dataclasses.replace(grid, **bad)
+                with pytest.raises(InvalidGrid, match="values but"):
+                    type(grid)(**{**_rules(grid), **bad})
+        rebuilt = type(grid)(**{**_rules(grid), ring: np.int64(getattr(grid, ring))})
+        assert np.array_equal(rebuilt.nodes, grid.nodes)
+        assert np.array_equal(rebuilt.weights, grid.weights)
+        for g in (grid, rebuilt):
+            assert type(g.shape) is tuple and {type(n) for n in g.shape} == {int}
+            assert type(g.n_nodes) is int
+            assert g.n_nodes == np.prod(g.shape) == len(g.nodes) == len(g.weights)
+        for derived in ("nodes", "weights", "shape", "n_nodes"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(grid, **{derived: getattr(grid, derived)})
+
+
+def test_hemisphere_grids_not_closed_under_inversion_cannot_be_built():
+    # wigner's kernels are Hermitian only on a hemisphere grid closed under
+    # inversion (theta -> pi - theta, phi -> phi + pi), so rules that break
+    # it raise when the grid is built, by the constructor or by replace:
+    # theta values 1, 5, 9, 13 of 16 have no mirror images, an odd phi ring
+    # has no antipodes, and weights tilted along z differ between mirror
+    # images; an axial value a0 <= 0 puts a node on the singular equator
+    kg = grids.hemisphere_grid_for(14)
+    ct, wth = kg.cos_theta, kg.theta_weights
+    for bad in (
+        dict(cos_theta=ct[1::4], theta_weights=wth[1::4]),
+        dict(n_phi=kg.n_phi - 1),
+        dict(theta_weights=wth * (1.0 + 1e-3 * ct)),
+    ):
+        with pytest.raises(InvalidGrid, match="not closed under inversion"):
+            dataclasses.replace(kg, **bad)
+        with pytest.raises(InvalidGrid, match="not closed under inversion"):
+            grids.HemisphereGrid(**{**_rules(kg), **bad})
+    for a0 in (0.0, -0.1):
+        axial = np.r_[a0, kg.axial[1:]]
+        with pytest.raises(AntipodalNode):
+            dataclasses.replace(kg, axial=axial)
+        with pytest.raises(AntipodalNode):
+            grids.HemisphereGrid(**{**_rules(kg), "axial": axial})
 
 
 def test_grids_are_cached():
