@@ -61,6 +61,8 @@ class QuadratureGrid:
     euler: np.ndarray = field(init=False)    # (n, 3) columns alpha, beta, gamma
     nodes: np.ndarray = field(init=False)    # (n, 4)
     weights: np.ndarray = field(init=False)  # (n,), sums to 1
+    # the defect its builder's certificate measured; None on a replace copy
+    certified_defect: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         _check_lengths(self, beta=(self.beta, self.beta_weights))
@@ -105,6 +107,8 @@ class HemisphereGrid:
     weights: np.ndarray = field(init=False)   # (K,), sums to 1/2
     jacobian: np.ndarray = field(init=False)  # (K,) = 8 * a0**2
     squared: np.ndarray = field(init=False)   # (K, 4) the nodes squared in the group
+    # the defect its builder's certificate measured; None on a replace copy
+    certified_defect: float | None = field(default=None, init=False, compare=False)
     # the state-independent tensor of wigner's label sums, all labels to the
     # largest cutoff asked for stacked in one array, keyed by the state
     # band and holding one band at a time (at most wigner._TENSOR_BYTES);
@@ -152,17 +156,14 @@ def _haar_exactness_degree(n_alpha: int, n_beta: int, n_gamma: int) -> int:
 _TOL = 1e-10
 
 
-def _certify(grid, plane, torus, top: int) -> float:
-    """Check ``sum_x w_x D^t(x) = delta_{t0}`` for ``two_t <= top`` on nodes
-    that are ``plane`` elements turned by a torus: a moment is ``sum_p
-    D^t(plane_p)_{mn} f[p, m, n]``, ``f = torus(top + two_m, top + two_n)`` the
-    weights Fourier-summed over the torus (Kostelec & Rockmore, 2008)."""
+def _certify(grid, moment, top: int) -> float:
+    """Check ``sum_x w_x D^t(x) = delta_{t0}`` for ``two_t <= top``, where
+    ``moment(two_t, two_m)`` is that sum over the grid's 1-D rules, ``two_m``
+    its row labels (Kostelec & Rockmore, 2008)."""
     defect = 0.0
     for two_t in range(top + 1):
-        idx = top + irreps.two_m_values(two_t)
-        f = torus(idx[:, None], idx)
-        moment = np.einsum("pmn,pmn->mn", irreps.dmatrix(two_t, plane), f)
-        defect = max(defect, float(np.max(np.abs(moment - (two_t == 0)))))
+        moment_t = moment(two_t, irreps.two_m_values(two_t))
+        defect = max(defect, float(np.max(np.abs(moment_t - (two_t == 0)))))
     if defect > _TOL:
         raise InvalidGrid(
             f"{type(grid).__name__} {grid.shape} failed its exactness "
@@ -173,14 +174,18 @@ def _certify(grid, plane, torus, top: int) -> float:
 
 def _verify_haar(grid: QuadratureGrid) -> float:
     """Certify ``two_t <= 4B``, true iff every ``D^J conj(D^J')`` with
-    ``J, J' <= B`` is exact; the plane is the beta line at alpha = gamma = 0."""
+    ``J, J' <= B`` is exact; on the beta line (alpha = gamma = 0) ``D^t = d^t``."""
     top = 4 * grid.exactness_degree
     half_m = np.arange(-top, top + 1) / 2.0
     gamma = 4 * np.pi * np.arange(grid.n_gamma) / grid.n_gamma
-    # f[b, m, n] = w_b <e^{-i m alpha}> <e^{-i n gamma}>, means over the rules
+    # moments sum_b w_b d^t(beta_b)_{mn} <e^{-i m alpha}> <e^{-i n gamma}>
     ea, eg = (np.exp(-1j * np.outer(half_m, x)).mean(1) for x in (grid.alpha, gamma))
-    f = grid.beta_weights[:, None, None] * np.outer(ea, eg)
-    return _certify(grid, su2.from_euler(0.0, grid.beta, 0.0), lambda m, n: f[:, m, n], top)
+
+    def moment(two_t, two_m):
+        d = np.tensordot(grid.beta_weights, irreps.little_d_matrix(two_t, grid.beta), 1)
+        return d * np.outer(ea[top + two_m], eg[top + two_m])
+
+    return _certify(grid, moment, top)
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +205,7 @@ def haar_grid(n_alpha: int, n_beta: int, n_gamma: int) -> QuadratureGrid:
         alpha=alpha, beta=np.arccos(x), beta_weights=wb / 2.0, n_gamma=n_gamma,
         exactness_degree=degree,
     )
-    _verify_haar(grid)
+    vars(grid)["certified_defect"] = _verify_haar(grid)
     return grid
 
 
@@ -237,16 +242,21 @@ def _axial_rule(n_axial: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _verify_hemisphere(grid: HemisphereGrid) -> float:
     """Certify ``sum_k w_k J_k D^t(k^2) = delta_{t0}`` for ``two_t <=
-    exactness_twice``.  A node at azimuth phi is its ring's node at phi = 0
-    turned about z, so ``D^t(k^2)_{mn}`` gains ``e^{-i (m - n) phi}``."""
-    top, n_phi = grid.exactness_twice, grid.n_phi
-    w = grid.pushforward_weights.reshape(-1, n_phi)
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    # f[p, q] = sum_phi w[p, phi] e^{-i (m - n) phi} at m - n = q / 2 - top
-    f = w @ np.exp(-0.5j * np.outer(phi, np.arange(-2 * top, 2 * top + 1)))
-    defect = _certify(
-        grid, grid.squared[::n_phi], lambda m, n: f[:, m - n + 2 * top], top
-    )
+    exactness_twice``, with ``D^t(k^2)_{mn} = e^{-i (m - n) phi} [d^t(theta)
+    diag(e^{-2i two_l psi}) d^t(theta)^T]_{mn}`` and ``cos psi = a0``."""
+    top, w = grid.exactness_twice, grid.pushforward_weights.reshape(grid.shape).T
+    phi = 2 * np.pi * np.arange(grid.n_phi) / grid.n_phi
+    # f[k, c, a] = sum_phi w[a, c, phi] e^{-i k phi} at m - n = k - top
+    f = np.tensordot(np.exp(-1j * np.outer(np.arange(-top, top + 1), phi)), w, 1)
+    psi, theta = np.arccos(grid.axial), np.arccos(grid.cos_theta)
+
+    def moment(two_t, two_m):
+        # g[k, c, l] = sum_a f[k, c, a] e^{-2i two_l psi_a} at m - n = k - two_t
+        g = f[top - two_t:top + two_t + 1] @ np.exp(-2j * np.outer(psi, two_m))
+        d, q = irreps.little_d_matrix(two_t, theta), (two_m[:, None] - two_m) // 2
+        return np.einsum("cml,cnl,mncl->mn", d, d, g[q + two_t])
+
+    defect = _certify(grid, moment, top)
     mass, push = float(np.sum(grid.weights)), float(np.sum(w))
     if abs(mass - 0.5) > 1e-12 or abs(push - 1.0) > 1e-12:
         raise InvalidGrid(f"hemisphere {grid.shape} weight sums {mass}, {push}")
@@ -278,7 +288,7 @@ def hemisphere_grid(n_axial: int, n_theta: int, n_phi: int) -> HemisphereGrid:
         axial=t, axial_weights=wt, cos_theta=ct, theta_weights=wth, n_phi=n_phi,
         exactness_twice=max((p_exact - 2) // 2, 0),
     )
-    _verify_hemisphere(grid)
+    vars(grid)["certified_defect"] = _verify_hemisphere(grid)
     return grid
 
 

@@ -242,21 +242,62 @@ def test_verify_hemisphere_rejects_a_perturbed_weight(shift):
         grids._verify_hemisphere(dataclasses.replace(grid, axial_weights=weights))
 
 
-def test_hemisphere_certificate_evaluates_irreps_on_one_plane(monkeypatch):
-    # the certificate evaluates D^t on the n_axial x n_theta squared nodes of
-    # one phi value, never on the whole grid
+def test_certificates_evaluate_little_d_on_their_angle_rules(monkeypatch):
+    # each certificate evaluates d^t once per label on its 1-D angle rule:
+    # the hemisphere on the n_theta polar angles, the Haar grid on the n_beta
+    # beta angles; neither builds group elements or D-matrices
+    hemisphere = grids.hemisphere_grid_for(14)
+    haar = grids.haar_grid_for_degree(3)
     seen = []
-    dmatrix = irreps.dmatrix
+    little_d = irreps.little_d_matrix
 
-    def counting(two_j, g):
-        seen.append(np.shape(g)[0])
-        return dmatrix(two_j, g)
+    def counting(two_j, beta):
+        seen.append(np.shape(beta))
+        return little_d(two_j, beta)
 
-    monkeypatch.setattr(irreps, "dmatrix", counting)
-    grids.hemisphere_grid.cache_clear()
-    grid = grids.hemisphere_grid_for(14)
-    assert len(seen) == grid.exactness_twice + 1
-    assert max(seen) <= grid.shape[0] * grid.shape[1]
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certificate called irreps.dmatrix")
+
+    monkeypatch.setattr(irreps, "little_d_matrix", counting)
+    monkeypatch.setattr(irreps, "dmatrix", forbidden)
+    monkeypatch.setattr(grids, "su2", None)
+    assert grids._verify_hemisphere(hemisphere) == hemisphere.certified_defect
+    assert seen == [(hemisphere.shape[1],)] * (hemisphere.exactness_twice + 1)
+    seen.clear()
+    assert grids._verify_haar(haar) == haar.certified_defect
+    assert seen == [(haar.shape[1],)] * (4 * haar.exactness_degree + 1)
+
+
+@pytest.mark.parametrize("two_band", [6, 14, 20])
+def test_class_angle_factorisation_matches_the_squared_nodes(two_band):
+    # a node at phi = 0 is R_y(theta) e^{-i psi sz} R_y(theta)^-1 with
+    # cos psi = a0, so D^t(k^2) = d^t(theta) diag(e^{-2i two_l psi}) d^t(theta)^T:
+    # the form the hemisphere certificate sums, against the nodes themselves
+    grid = grids.hemisphere_grid_for(two_band)
+    psi, theta = np.arccos(grid.axial), np.arccos(grid.cos_theta)
+    for two_t in range(grid.exactness_twice + 1):
+        d = irreps.little_d_matrix(two_t, theta)
+        phase = np.exp(-2j * np.outer(psi, irreps.two_m_values(two_t)))
+        factored = np.einsum("cml,al,cnl->acmn", d, phase, d).reshape(
+            -1, two_t + 1, two_t + 1
+        )
+        direct = irreps.dmatrix(two_t, grid.squared[:: grid.n_phi])
+        assert np.max(np.abs(factored - direct)) <= 1e-12
+
+
+def test_grids_keep_their_certified_defect():
+    # the builders store the defect their certificate measured; a copy made
+    # with dataclasses.replace is not certified again and reads None
+    for grid, verify, rule in (
+        (grids.haar_grid(14, 7, 28), grids._verify_haar, "beta_weights"),
+        (grids.hemisphere_grid_for(14), grids._verify_hemisphere, "axial_weights"),
+    ):
+        assert grid.certified_defect == verify(grid)
+        assert 0.0 <= grid.certified_defect <= grids._TOL
+        copy = dataclasses.replace(grid, **{rule: getattr(grid, rule).copy()})
+        assert copy.certified_defect is None
+        (spec,) = (f for f in dataclasses.fields(grid) if f.name == "certified_defect")
+        assert not spec.init and not spec.compare
 
 
 def test_hemisphere_grid_pushforward_squared_moments():
