@@ -1,11 +1,11 @@
 """Quadrature grids: Haar sampling of the group and the squaring-map
 hemisphere used by the geodesic mid-point integrals.
 
-Both constructors validate their claimed exactness at build time, always,
-and raise :class:`~groupwigner.errors.InvalidGrid` loudly on failure, so a
-grid object in hand is a certificate that its advertised band is integrated
-exactly (to ``_TOL``).  Both certificates are the one moment test of
-:func:`_certify`, on the grids' product factors.
+Both constructors validate their claimed exactness at build time and raise
+:class:`~groupwigner.errors.InvalidGrid` loudly on failure, so a grid in hand
+certifies its advertised band to ``_TOL``.  Both certificates are the moment
+test of :func:`_certify` on the 1-D rules, the Haar one beta sum first:
+``sum_b w_b d^t(beta_b) = Re V diag(c) V^H``, ``c_mu = sum_b w_b e^{-i beta_b mu}``.
 """
 
 from __future__ import annotations
@@ -68,13 +68,12 @@ class QuadratureGrid:
         _check_lengths(self, beta=(self.beta, self.beta_weights))
         shape = (len(self.alpha), len(self.beta), int(self.n_gamma))
         gamma = 4 * np.pi * np.arange(self.n_gamma) / self.n_gamma
-        euler = np.stack(
-            np.meshgrid(self.alpha, self.beta, gamma, indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        w = np.tile(np.repeat(self.beta_weights, self.n_gamma), len(self.alpha))
+        angles = self.alpha[:, None, None], self.beta[:, None], gamma
+        euler = np.stack(np.broadcast_arrays(*angles), axis=-1).reshape(-1, 3)
+        w = np.repeat(self.beta_weights, self.n_gamma) / (shape[0] * shape[2])
         vars(self).update(
-            shape=shape, n_nodes=math.prod(shape), euler=euler,
-            nodes=su2.from_euler(*euler.T), weights=w / (shape[0] * shape[2]),
+            shape=shape, n_nodes=math.prod(shape), weights=np.tile(w, shape[0]),
+            euler=euler, nodes=su2.from_euler(*angles).reshape(-1, 4),
         )
 
 
@@ -128,17 +127,17 @@ class HemisphereGrid:
         if not np.all(self.axial > 0.0):
             raise AntipodalNode("hemisphere node on the singular equator a0 = 0")
         phi = 2 * np.pi * np.arange(self.n_phi) / self.n_phi
-        tt, cth, ph = np.meshgrid(self.axial, ct, phi, indexing="ij")
-        sth = np.sqrt(1.0 - cth**2)
-        r = np.sqrt(1.0 - tt**2)
-        nodes = np.stack(
-            [tt, r * sth * np.cos(ph), r * sth * np.sin(ph), r * cth], axis=-1
-        ).reshape(-1, 4)
+        tt, cth = self.axial[:, None, None], ct[:, None]
+        r, sth = np.sqrt(1.0 - tt**2), np.sqrt(1.0 - cth**2)
+        parts = tt, r * sth * np.cos(phi), r * sth * np.sin(phi), r * cth
+        nodes = np.stack(np.broadcast_arrays(*parts), axis=-1).reshape(-1, 4)
+        a0, v = nodes[:, :1], nodes[:, 1:]  # k^2 = (a0^2 - |v|^2, 2 a0 v)
+        squared = np.hstack([a0 * a0 - np.sum(v * v, -1, keepdims=True), 2 * a0 * v])
         w = np.repeat(np.outer(self.axial_weights, wth).reshape(-1), self.n_phi)
         vars(self).update(
             shape=shape, n_nodes=math.prod(shape), weights=w / (np.pi * shape[2]),
-            nodes=nodes, squared=su2.mul(nodes, nodes),
-            jacobian=su2.squaring_jacobian(nodes),
+            nodes=nodes, squared=squared,
+            jacobian=np.repeat(8.0 * self.axial**2, shape[1] * shape[2]),
         )
 
     @property
@@ -173,8 +172,8 @@ def _certify(grid, moment, top: int) -> float:
 
 
 def _verify_haar(grid: QuadratureGrid) -> float:
-    """Certify ``two_t <= 4B``, true iff every ``D^J conj(D^J')`` with
-    ``J, J' <= B`` is exact; on the beta line (alpha = gamma = 0) ``D^t = d^t``."""
+    """Certify ``two_t <= 4B``, iff every ``D^J conj(D^J')``, ``J, J' <= B``, is
+    exact; on the beta line ``D^t = d^t``, summed beta first: ``Re V diag(c) V^H``."""
     top = 4 * grid.exactness_degree
     half_m = np.arange(-top, top + 1) / 2.0
     gamma = 4 * np.pi * np.arange(grid.n_gamma) / grid.n_gamma
@@ -182,7 +181,7 @@ def _verify_haar(grid: QuadratureGrid) -> float:
     ea, eg = (np.exp(-1j * np.outer(half_m, x)).mean(1) for x in (grid.alpha, gamma))
 
     def moment(two_t, two_m):
-        d = np.tensordot(grid.beta_weights, irreps.little_d_matrix(two_t, grid.beta), 1)
+        d = irreps._little_d_moment(two_t, grid.beta, grid.beta_weights)
         return d * np.outer(ea[top + two_m], eg[top + two_m])
 
     return _certify(grid, moment, top)
@@ -209,9 +208,15 @@ def haar_grid(n_alpha: int, n_beta: int, n_gamma: int) -> QuadratureGrid:
     return grid
 
 
+def _whole(value, name: str) -> int:
+    if not float(value).is_integer():  # NaN and infinities are not
+        raise InvalidGrid(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def haar_grid_for_degree(degree: int) -> QuadratureGrid:
     """Smallest product grid of the standard shape with exactness >= degree."""
-    degree = max(int(degree), 0)
+    degree = max(_whole(degree, "degree"), 0)
     return haar_grid(2 * degree + 2, degree + 1, 4 * degree + 4)
 
 
@@ -281,6 +286,9 @@ def hemisphere_grid(n_axial: int, n_theta: int, n_phi: int) -> HemisphereGrid:
         raise InvalidGrid(
             f"hemisphere shape must be >= (1,1,2), got {(n_axial, n_theta, n_phi)}"
         )
+    if n_axial == 2:  # exact to degree 1; one node (t = 1/2) is exact on 8 a0^2
+        raise InvalidGrid(f"hemisphere shape {(n_axial, n_theta, n_phi)}: the axial "
+                          "rule needs n_axial >= 3 for the degree-2 squaring jacobian")
     p_exact = min(n_axial - 1, 2 * n_theta - 1, n_phi - 1)
     t, wt = _axial_rule(n_axial)
     ct, wth = leggauss(n_theta)
@@ -295,7 +303,7 @@ def hemisphere_grid(n_axial: int, n_theta: int, n_phi: int) -> HemisphereGrid:
 def hemisphere_grid_for(two_band: int) -> HemisphereGrid:
     """Smallest standard hemisphere grid with ``exactness_twice >= two_band``,
     where ``two_band`` is the required ``2*j_max + 2*J`` of the integrands."""
-    p = 2 * max(int(two_band), 0) + 2
+    p = 2 * max(_whole(two_band, "two_band"), 0) + 2
     n_theta = (p + 2) // 2
     n_phi = p + 1 + (p + 1) % 2
     return hemisphere_grid(p + 1, n_theta, n_phi)

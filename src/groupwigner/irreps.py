@@ -65,6 +65,13 @@ def little_d_matrix(two_j: int, beta):
     return np.ascontiguousarray(d).reshape(beta.shape + (dim, dim))
 
 
+def _little_d_moment(two_j: int, beta, weights) -> np.ndarray:
+    """The beta sum first: ``sum_b w_b d^j(beta_b) = Re V diag(c) V^H`` over the
+    ``J_y`` eigenvectors ``V``, with ``c_mu = sum_b w_b e^{-i beta_b mu}``."""
+    v, mu = _jy_eigenvectors(two_j), np.arange(-two_j, two_j + 1, 2) / 2.0
+    return ((v * (np.exp(-1j * np.outer(mu, beta)) @ weights)) @ v.conj().T).real
+
+
 def dmatrix(two_j: int, g):
     """Representation matrix ``D^j(g)``, shape ``(..., 2j+1, 2j+1)`` complex.
 

@@ -117,18 +117,13 @@ def to_matrix(a):
 
 
 def from_euler(alpha, beta, gamma):
-    """Group element for zyz Euler angles; scalars or broadcastable arrays."""
-    alpha, beta, gamma = np.broadcast_arrays(
-        np.asarray(alpha, dtype=float),
-        np.asarray(beta, dtype=float),
-        np.asarray(gamma, dtype=float),
-    )
+    """Group element for zyz Euler angles; scalars or broadcastable arrays,
+    whose trig is taken before they are broadcast."""
+    alpha, beta, gamma = (np.asarray(x, dtype=float) for x in (alpha, beta, gamma))
     cb, sb = np.cos(beta / 2), np.sin(beta / 2)
     sp, dp = (alpha + gamma) / 2, (gamma - alpha) / 2
-    return np.stack(
-        [cb * np.cos(sp), sb * np.sin(dp), sb * np.cos(dp), cb * np.sin(sp)],
-        axis=-1,
-    )
+    parts = cb * np.cos(sp), sb * np.sin(dp), sb * np.cos(dp), cb * np.sin(sp)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 def to_euler(a):

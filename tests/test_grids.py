@@ -243,11 +243,10 @@ def test_verify_hemisphere_rejects_a_perturbed_weight(shift):
 
 
 def test_certificates_evaluate_little_d_on_their_angle_rules(monkeypatch):
-    # each certificate evaluates d^t once per label on its 1-D angle rule:
-    # the hemisphere on the n_theta polar angles, the Haar grid on the n_beta
-    # beta angles; neither builds group elements or D-matrices
+    # the hemisphere certificate evaluates d^t once per label on its n_theta
+    # polar angles and builds no group elements or D-matrices; the Haar
+    # certificate evaluates no d^t at all (see the beta-first test below)
     hemisphere = grids.hemisphere_grid_for(14)
-    haar = grids.haar_grid_for_degree(3)
     seen = []
     little_d = irreps.little_d_matrix
 
@@ -263,9 +262,36 @@ def test_certificates_evaluate_little_d_on_their_angle_rules(monkeypatch):
     monkeypatch.setattr(grids, "su2", None)
     assert grids._verify_hemisphere(hemisphere) == hemisphere.certified_defect
     assert seen == [(hemisphere.shape[1],)] * (hemisphere.exactness_twice + 1)
-    seen.clear()
-    assert grids._verify_haar(haar) == haar.certified_defect
-    assert seen == [(haar.shape[1],)] * (4 * haar.exactness_degree + 1)
+
+
+def test_haar_certificate_sums_beta_first(monkeypatch):
+    # sum_b w_b d^t(beta_b) = Re V diag(c) V^H with c_mu = sum_b w_b e^{-i beta_b mu}:
+    # the Haar certificate takes its beta moments as one dim x dim product per
+    # label, calls neither little_d_matrix, dmatrix nor su2, and its moments
+    # are those of the weighted little-d sum
+    haar = [grids.haar_grid_for_degree(degree) for degree in range(17)]
+    little_d, moment = irreps.little_d_matrix, irreps._little_d_moment
+    moments = []
+
+    def recording(two_t, beta, weights):
+        moments.append((two_t, beta, weights, moment(two_t, beta, weights)))
+        return moments[-1][-1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Haar certificate evaluated a d-matrix")
+
+    monkeypatch.setattr(irreps, "_little_d_moment", recording)
+    monkeypatch.setattr(irreps, "little_d_matrix", forbidden)
+    monkeypatch.setattr(irreps, "dmatrix", forbidden)
+    monkeypatch.setattr(grids, "su2", None)
+    for degree, grid in enumerate(haar):
+        moments.clear()
+        assert grids._verify_haar(grid) == grid.certified_defect
+        assert [m[0] for m in moments] == list(range(4 * degree + 1))
+        for two_t, beta, weights, got in moments:
+            assert beta is grid.beta and weights is grid.beta_weights
+            want = np.tensordot(weights, little_d(two_t, beta), 1)
+            assert np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("two_band", [6, 14, 20])
@@ -321,6 +347,72 @@ def test_hemisphere_grid_rejects_bad_shapes():
         grids.hemisphere_grid(0, 4, 8)
     with pytest.raises(InvalidGrid):
         grids.hemisphere_grid(7, 4, 7)  # odd n_phi breaks inversion closure
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 2), (2, 5, 6), (2, 8, 8)])
+def test_hemisphere_grid_rejects_two_axial_nodes(shape):
+    # two axial nodes are exact only to degree 1, below the degree-2 squaring
+    # jacobian that even the band-0 claim integrates
+    with pytest.raises(InvalidGrid, match=r"\(2, \d, \d\).*n_axial >= 3"):
+        grids.hemisphere_grid(*shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2), (3, 1, 2), (3, 2, 4)])
+def test_smallest_hemisphere_grids_claim_band_0(shape):
+    assert grids.hemisphere_grid(*shape).exactness_twice == 0
+
+
+@pytest.mark.parametrize("value", [2.7, -0.5, np.nan, np.inf, -np.inf])
+def test_grid_for_rejects_values_that_are_not_whole(value):
+    for build in (grids.haar_grid_for_degree, grids.hemisphere_grid_for):
+        with pytest.raises(InvalidGrid, match="must be a whole number"):
+            build(value)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), -2, -2.0])
+def test_grid_for_accepts_whole_numbers(value):
+    # a whole number of any numeric type; a negative one counts as 0
+    want = max(int(value), 0)
+    assert grids.haar_grid_for_degree(value) is grids.haar_grid_for_degree(want)
+    assert grids.hemisphere_grid_for(value) is grids.hemisphere_grid_for(want)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: grids.hemisphere_grid(3, 2, 4),
+        lambda: grids.hemisphere_grid(7, 4, 8),
+        lambda: grids.hemisphere_grid_for(14),
+        lambda: grids.haar_grid_for_degree(8),
+        lambda: grids.haar_grid(14, 7, 28),
+    ],
+    ids=["hemisphere(3,2,4)", "hemisphere(7,4,8)", "hemisphere_for(14)",
+         "haar_for(8)", "haar(14,7,28)"],
+)
+def test_derived_arrays_match_the_node_formulas_bit_for_bit(build):
+    # the node arrays made from the 1-D rules by broadcasting are those of
+    # the formulas on the full node set: meshgrid trig for the nodes,
+    # su2.mul for the squares, su2.squaring_jacobian, meshgrid Euler angles and
+    # su2.from_euler per node
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    grid = build()
+    if isinstance(grid, grids.QuadratureGrid):
+        gamma = 4 * np.pi * np.arange(grid.n_gamma) / grid.n_gamma
+        euler = np.meshgrid(grid.alpha, grid.beta, gamma, indexing="ij")
+        assert same(grid.euler, np.stack(euler, axis=-1).reshape(-1, 3))
+        assert same(grid.nodes, su2.from_euler(*grid.euler.T))
+        return
+    phi = 2 * np.pi * np.arange(grid.n_phi) / grid.n_phi
+    tt, cth, ph = np.meshgrid(grid.axial, grid.cos_theta, phi, indexing="ij")
+    r, sth = np.sqrt(1.0 - tt**2), np.sqrt(1.0 - cth**2)
+    nodes = np.stack(
+        [tt, r * sth * np.cos(ph), r * sth * np.sin(ph), r * cth], axis=-1
+    ).reshape(-1, 4)
+    assert same(grid.nodes, nodes)
+    assert same(grid.squared, su2.mul(nodes, nodes))
+    assert same(grid.jacobian, su2.squaring_jacobian(nodes))
 
 
 @pytest.mark.parametrize("degree", range(7))
