@@ -6,12 +6,12 @@ mapped to phase-space distributions built from geodesic mid-points of group
 pairs.  The package provides:
 
 * ``su2`` — unit-quaternion group arithmetic, Euler charts, geodesic
-  mid-points, principal square roots and the squaring-map jacobian;
+  distance and mid-points, principal square roots;
 * ``irreps`` — Wigner ``D`` matrices, characters, Clebsch-Gordan data;
 * ``grids`` — validated product quadratures for Haar measure and for the
   open-hemisphere shift integral;
 * ``states`` — block Fourier coefficients of pure states and ensembles,
-  synthesis/analysis, translations, projectors, serialization;
+  synthesis/analysis, translations, serialization;
 * ``wigner`` — the production distribution (full and traced forms),
   marginals, covariant transforms, overlaps, kernel reconstruction, and a
   brute-force mollified oracle;

@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -70,14 +71,13 @@ class RunConfig:
 
 def _parse_grid(value) -> tuple:
     if isinstance(value, (list, tuple)):
-        parts = list(value)
+        shape = tuple(value)
     else:
-        parts = str(value).lower().replace("x", " ").split()
-    try:
-        shape = tuple(int(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid must be three integers 'AxBxC', got {value!r}")
-    if len(shape) != 3 or any(s < 1 for s in shape):
+        try:
+            shape = tuple(int(p) for p in str(value).lower().replace("x", " ").split())
+        except ValueError:
+            raise ConfigError(f"grid must be three integers 'AxBxC', got {value!r}")
+    if len(shape) != 3 or not all(states._is_count(s) and s >= 1 for s in shape):
         raise ConfigError(f"grid must be three positive integers, got {value!r}")
     return shape
 
@@ -125,14 +125,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config.fmt not in _FORMATS:
         raise ConfigError(f"format must be one of {_FORMATS}, got {config.fmt!r}")
     top = states._MAX_TWO_J
-    if not isinstance(config.jmax_twice, int) or not 0 <= config.jmax_twice <= top:
-        raise ConfigError(f"jmax must be an integer in 0..{top} (doubled units)")
-    if not isinstance(config.jsum_twice, int) or not 0 <= config.jsum_twice <= top:
-        raise ConfigError(f"jsum must be an integer in 0..{top} (doubled units)")
-    if not isinstance(config.seed, int):
-        raise ConfigError("seed must be an integer")
-    if config.tolerance is not None and not config.tolerance > 0:
-        raise ConfigError("tol must be positive")
+    for name, value in (("jmax", config.jmax_twice), ("jsum", config.jsum_twice)):
+        if not states._is_count(value) or not 0 <= value <= top:
+            raise ConfigError(f"{name} must be an integer in 0..{top} (doubled units)")
+    if not states._is_count(config.seed) or config.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    tol = config.tolerance
+    if tol is not None and (
+        isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf
+    ):
+        raise ConfigError(f"tol must be a positive finite number, got {tol!r}")
+    if not isinstance(config.oracle, bool):
+        raise ConfigError(f"oracle must be true or false, got {config.oracle!r}")
+    if not isinstance(config.out, (str, type(None))):
+        raise ConfigError(f"out must be a path, got {config.out!r}")
     return config
 
 
@@ -278,12 +284,7 @@ def _ggrid(config: RunConfig) -> grids.QuadratureGrid:
 
 def _check_orthogonality(config, rng):
     grid = _ggrid(config)
-    if 2 * grid.exactness_degree < config.jmax_twice:
-        raise GridTooCoarse(
-            f"grid {config.grid_shape} is exact only to degree "
-            f"{grid.exactness_degree}; orthogonality up to two_j="
-            f"{config.jmax_twice} needs degree {config.jmax_twice}/2"
-        )
+    grid._require_band(config.jmax_twice, "orthogonality")
     f = np.concatenate(
         [np.sqrt(t + 1.0) * irreps.dmatrix(t, grid.nodes).reshape(grid.n_nodes, -1)
          for t in range(config.jmax_twice + 1)],
@@ -778,14 +779,16 @@ def cmd_overlap(config: RunConfig, state_file_a: str, state_file_b: str) -> int:
     rho_b = states.load_state(state_file_b)
     grid = _ggrid(config)
     band = rho_a.two_jmax + rho_b.two_jmax
-    if 2 * grid.exactness_degree < band:
+    try:
+        grid._require_band(band, "the overlap")
+    except GridTooCoarse:
         # the hemisphere grid is sized from the states, the group grid is not
         need = grids.haar_grid_for_degree((band + 1) // 2).shape
         raise GridTooCoarse(
             f"the overlap integrand has irrep band {band}, but --grid "
             f"{'x'.join(map(str, grid.shape))} is exact only to band "
             f"{2 * grid.exactness_degree}; use --grid {'x'.join(map(str, need))} or finer"
-        )
+        ) from None
     kgrid = grids.hemisphere_grid_for(
         max(rho_a.two_jmax, rho_b.two_jmax) + config.jsum_twice
     )

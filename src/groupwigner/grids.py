@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import irreps, su2
-from .errors import AntipodalNode, InvalidGrid
+from .errors import AntipodalNode, GridTooCoarse, InvalidGrid
 
 __all__ = [
     "QuadratureGrid",
@@ -75,6 +75,16 @@ class QuadratureGrid:
             shape=shape, n_nodes=math.prod(shape), weights=np.tile(w, shape[0]),
             euler=euler, nodes=su2.from_euler(*angles).reshape(-1, 4),
         )
+
+    def _require_band(self, band: int, what: str) -> None:
+        """Raise :class:`GridTooCoarse` unless the grid integrates an integrand
+        of irrep band ``band`` (whole-j units) exactly: degree B covers 2B."""
+        if 2 * self.exactness_degree < band:
+            raise GridTooCoarse(
+                f"{what} integrand has irrep band {band}, but the group grid "
+                f"{'x'.join(map(str, self.shape))} is exact only to band "
+                f"{2 * self.exactness_degree}"
+            )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import irreps, su2
-from .errors import GridTooCoarse, SchemaError
+from .errors import SchemaError
 
 __all__ = [
     "BlockState",
@@ -33,9 +33,6 @@ __all__ = [
     "analyze",
     "left_translate",
     "right_translate",
-    "u_multiply",
-    "dhat_apply",
-    "fourier_projector",
     "DensityEnsemble",
     "pure_ensemble",
     "ensemble_kernel",
@@ -144,11 +141,7 @@ def analyze(values, two_jmax: int, grid) -> BlockState:
     integrand pairs two irreps of label at most ``two_jmax / 2`` each, so the
     grid must satisfy ``2 * exactness_degree >= two_jmax``.
     """
-    if 2 * grid.exactness_degree < two_jmax:
-        raise GridTooCoarse(
-            f"analysis up to two_jmax={two_jmax} needs grid exactness degree "
-            f">= {two_jmax}/2, got {grid.exactness_degree}"
-        )
+    grid._require_band(two_jmax, "analysis")
     if callable(values):
         values = values(grid.nodes)
     values = np.asarray(values, dtype=complex)
@@ -190,103 +183,6 @@ def right_translate(state: BlockState, g2) -> BlockState:
             for two_j, block in enumerate(state.blocks)
         )
     )
-
-
-def u_multiply(state: BlockState, two_j: int, two_m: int, two_n: int) -> BlockState:
-    """Multiply the wavefunction pointwise by ``D^j_{mn}(g)``.
-
-    In coefficients this is the Clebsch-Gordan coupled sum; the band grows to
-    ``two_jmax + two_j``.
-    """
-    out = zero_state(state.two_jmax + two_j)
-    for two_jp, block in enumerate(state.blocks):
-        if not np.any(block):
-            continue
-        pref_jp = np.sqrt(two_jp + 1.0)
-        lo = abs(two_j - two_jp)
-        for two_jpp in range(lo, two_j + two_jp + 2, 2):
-            target = out.blocks[two_jpp]
-            scale = pref_jp / np.sqrt(two_jpp + 1.0)
-            for ip, two_mp in enumerate(irreps.two_m_values(two_jp)):
-                two_mpp = two_m + int(two_mp)
-                if abs(two_mpp) > two_jpp:
-                    continue
-                cm = irreps.clebsch_gordan(
-                    two_j, two_m, two_jp, int(two_mp), two_jpp, two_mpp
-                )
-                if cm == 0.0:
-                    continue
-                for kp, two_np in enumerate(irreps.two_m_values(two_jp)):
-                    two_npp = two_n + int(two_np)
-                    if abs(two_npp) > two_jpp:
-                        continue
-                    cn = irreps.clebsch_gordan(
-                        two_j, two_n, two_jp, int(two_np), two_jpp, two_npp
-                    )
-                    if cn == 0.0:
-                        continue
-                    target[
-                        (two_jpp - two_mpp) // 2, (two_jpp - two_npp) // 2
-                    ] += scale * cm * cn * block[ip, kp]
-    return out
-
-
-def dhat_apply(
-    state: BlockState, g, two_j: int, two_m: int, two_n: int, side: str = "left"
-) -> BlockState:
-    """Apply the displacement-type operator: multiply by ``D^j_{mn}`` and then
-    translate by ``g`` (``side='left'``: ``psi -> psi(g^{-1} .)``;
-    ``side='right'``: ``psi -> psi(. g)``)."""
-    lifted = u_multiply(state, two_j, two_m, two_n)
-    if side == "left":
-        return left_translate(lifted, g)
-    if side == "right":
-        return right_translate(lifted, g)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def fourier_projector(
-    state: BlockState, two_j: int, two_m: int, two_n: int, grid, side: str = "left"
-) -> BlockState:
-    """Apply the harmonic projector ``N_J * integral dg D^J_{MN}(g) x
-    (translation by g)``, evaluated literally as a quadrature over ``grid``.
-
-    ``side='left'`` uses left translations, ``side='right'`` uses right
-    translations with ``D^J_{MN}(g^{-1})`` under the integral.  Acting on
-    basis states: the left projector sends ``|J' M' N'>`` to
-    ``delta_{J J'} delta_{N M'} |J M N'>``, the right one to
-    ``delta_{J J'} delta_{M N'} |J' M' N>``.
-    """
-    need = max(state.two_jmax, two_j)
-    if 2 * grid.exactness_degree < need:
-        raise GridTooCoarse(
-            f"projector with two_j={two_j} on a band-{state.two_jmax} state "
-            f"needs grid exactness degree >= {need}/2, "
-            f"got {grid.exactness_degree}"
-        )
-    i = (two_j - two_m) // 2
-    k = (two_j - two_n) // 2
-    if side == "left":
-        scalars = irreps.dmatrix(two_j, grid.nodes)[:, i, k]
-        trans_arg = grid.nodes
-    elif side == "right":
-        inv_nodes = su2.inverse(grid.nodes)
-        scalars = irreps.dmatrix(two_j, inv_nodes)[:, i, k]
-        trans_arg = None
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    wsc = (two_j + 1.0) * grid.weights * scalars
-    blocks = []
-    for two_jp, block in enumerate(state.blocks):
-        d = irreps.dmatrix(two_jp, grid.nodes)
-        if side == "left":
-            kernel = np.einsum("x,xab->ab", wsc, np.conj(d))
-            blocks.append(kernel @ block)
-        else:
-            # right translation by node g uses D^{J'}(g).T on the right
-            kernel = np.einsum("x,xab->ab", wsc, d.transpose(0, 2, 1))
-            blocks.append(block @ kernel)
-    return BlockState(tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -383,7 +279,7 @@ def _block_payload(state: BlockState) -> list:
 
 def _is_count(value) -> bool:
     # JSON true/false parse to bool, which is an int subclass
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _holds_bool(value) -> bool:

@@ -34,11 +34,9 @@ __all__ = [
     "to_matrix",
     "from_euler",
     "to_euler",
-    "rotation_angle",
     "distance",
     "midpoint",
     "group_sqrt",
-    "squaring_jacobian",
     "random_elements",
 ]
 
@@ -154,12 +152,6 @@ def to_euler(a):
     return np.stack([alpha, beta, gamma], axis=-1)
 
 
-def rotation_angle(a):
-    """Geodesic angle ``phi = 2*arccos(a0) in [0, 2*pi]`` from the identity."""
-    a = np.asarray(a, dtype=float)
-    return 2.0 * np.arccos(np.clip(a[..., 0], -1.0, 1.0))
-
-
 def distance(a, b):
     """Bi-invariant geodesic distance ``arccos(a . b) in [0, pi]``."""
     a = np.asarray(a, dtype=float)
@@ -201,28 +193,6 @@ def group_sqrt(g):
     g = np.asarray(g, dtype=float)
     e = np.broadcast_to(identity(), g.shape)
     return midpoint(e, g)
-
-
-def squaring_jacobian(k):
-    """Haar-density jacobian ``8*k0**2`` of the squaring map at ``k``.
-
-    ``k`` must lie on the closed hemisphere ``k0 >= 0`` (the range of
-    :func:`group_sqrt`); integrating ``squaring_jacobian(k) * f(mul(k, k))``
-    over the hemisphere with normalized Haar weights reproduces the Haar
-    integral of ``f`` over the whole group.
-
-    Raises
-    ------
-    DomainError
-        If any ``k0 < -1e-12``.
-    """
-    k = np.asarray(k, dtype=float)
-    k0 = k[..., 0]
-    if np.any(k0 < -1e-12):
-        raise DomainError(
-            f"squaring jacobian requires k0 >= 0, got min k0 = {np.min(k0):.3e}"
-        )
-    return 8.0 * k0 ** 2
 
 
 def random_elements(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import irreps, su2
-from .errors import GridTooCoarse
-from .states import as_ensemble, synthesize
+from .errors import DomainError, GridTooCoarse
+from .states import _is_count, as_ensemble, synthesize
 
 __all__ = [
     "WignerBlock",
@@ -80,22 +80,15 @@ class WignerTildeBlock:
 
 
 def _require_kgrid(two_jmax: int, two_j: int, kgrid) -> None:
+    if not (_is_count(two_j) and two_j >= 0):
+        raise DomainError(
+            f"doubled irrep labels must be non-negative integers, got {two_j!r}"
+        )
     if two_jmax + two_j > kgrid.exactness_twice:
         raise GridTooCoarse(
             f"hemisphere rule certified up to combined doubled degree "
             f"{kgrid.exactness_twice}, need {two_jmax + two_j} "
             f"(state band {two_jmax}, irrep {two_j})"
-        )
-
-
-def _require_ggrid(grid, band: int, what: str) -> None:
-    # ``band`` is the irrep content of the integrand in whole-j units; a
-    # grid of exactness degree B integrates irreps up to 2B exactly
-    if 2 * grid.exactness_degree < band:
-        raise GridTooCoarse(
-            f"{what} integrand has irrep band {band}; the group grid is "
-            f"exact only to band {2 * grid.exactness_degree} "
-            f"(exactness degree {grid.exactness_degree})"
         )
 
 
@@ -350,7 +343,8 @@ def marginal_momentum(rho, two_j: int, ggrid, kgrid) -> np.ndarray:
     ``(2J+1,)*4`` array of irrep-space matrix elements
     ``<J M' N'| rho |J M N>`` at entry ``[M, N, M', N']``."""
     rho = as_ensemble(rho)
-    _require_ggrid(ggrid, rho.two_jmax + two_j, "momentum marginal")
+    _require_kgrid(rho.two_jmax, two_j, kgrid)  # the band below adds the label
+    ggrid._require_band(rho.two_jmax + two_j, "momentum marginal")
     vals = wigner_full_batch(rho, ggrid.nodes, two_j, kgrid)
     return np.einsum("g,gmnpq->mnpq", ggrid.weights, vals)
 
@@ -436,7 +430,7 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     rho1, rho2 = as_ensemble(rho1), as_ensemble(rho2)
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    _require_ggrid(ggrid, rho1.two_jmax + rho2.two_jmax, "overlap group integral")
+    ggrid._require_band(rho1.two_jmax + rho2.two_jmax, "overlap")
     band = max(rho1.two_jmax, rho2.two_jmax)
     _require_kgrid(band, two_jsum, kgrid)
     plane = ggrid.nodes[:: ggrid.n_gamma]

@@ -265,13 +265,33 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "no_such_key" in err
     code, _, err = run_cli(["verify", "--grid", "axbxc"], capsys)
     assert code == 2
-    code, _, err = run_cli(["verify", "--group", "su2", "--tol", "-1"], capsys)
-    assert code == 2
+    for flags in (["--tol", "-1"], ["--tol", "inf"], ["--tol", "nan"], ["--seed", "-1"]):
+        code, _, err = run_cli(["verify", "--group", "su2", *flags], capsys)
+        assert code == 2 and err.count("\n") == 1
     code, _, err = run_cli(["verify", "--config", str(tmp_path / "none")], capsys)
     assert code == 2
     cfg.write_bytes(b"\xff\xfe{}")
     code, _, err = run_cli(["verify", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"tol": True}, {"tol": "1e-3"}, {"tol": float("inf")}, {"tol": float("nan")},
+        {"oracle": "no"}, {"oracle": None}, {"grid": [14.7, 7, 28]},
+        {"grid": [True, 7, 28]}, {"grid": ["6", "3", "12"]}, {"jmax": True},
+        {"jsum": True}, {"seed": True}, {"seed": -1}, {"out": 987654},
+    ],
+    ids=json.dumps,
+)
+def test_config_file_values_are_type_checked(tmp_path, capsys, payload):
+    # JSON true is an int to Python and "1e-3" is not a number: each value of
+    # the wrong type is one error line, never a run, a traceback or an fd
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    code, out, err = run_cli(["verify", "--group", "so2", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {next(iter(payload))} must be") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ structural invariants such as inversion closure.
 
 import ast
 import dataclasses
+import importlib
 import os
 import subprocess
 import sys
@@ -18,8 +19,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from groupwigner import cli, grids, irreps, su2
-from groupwigner.errors import AntipodalNode, InvalidGrid
+from groupwigner import cli, grids, irreps, states, su2, wigner
+from groupwigner.errors import AntipodalNode, GridTooCoarse, InvalidGrid
 from groupwigner.grids import _axial_rule
 
 
@@ -128,6 +129,59 @@ def test_no_package_module_imports_scipy():
             assert "scipy" not in {n.split(".")[0] for n in names}, (
                 f"{path.name}:{node.lineno} imports scipy"
             )
+
+
+def _package_modules():
+    """``(name, syntax tree)`` of every module in the package."""
+    for path in sorted(Path(grids.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_operator_algebra_is_not_in_the_package():
+    # the operator algebra and two duplicate su2 formulas left the package:
+    # no module defines or exports them, and every exported name resolves
+    gone = {"u_multiply", "dhat_apply", "fourier_projector", "squaring_jacobian",
+            "rotation_angle"}
+    for name, tree in _package_modules():
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        module = importlib.import_module(f"groupwigner.{name}")
+        exported = set(getattr(module, "__all__", ()))
+        assert not (defined | exported) & gone, f"{name}.py: {(defined | exported) & gone}"
+        missing = [n for n in exported if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names {missing}, which do not resolve"
+
+
+def test_haar_band_rule_is_one_grids_function():
+    # 2 * exactness_degree >= band is compared only in grids, in
+    # QuadratureGrid._require_band, and every consumer's failure names the
+    # integrand, the grid and the band it is exact to
+    compares = [
+        f"{name}.{fn.name}"
+        for name, tree in _package_modules()
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Compare)
+        if any(getattr(n, "attr", None) == "exactness_degree" for n in ast.walk(node))
+    ]
+    assert compares == ["grids._require_band"]
+    coarse = grids.haar_grid(2, 1, 4)
+    rho = states.random_state(np.random.default_rng(0), 2)
+    kgrid = grids.hemisphere_grid_for(4)
+    config = cli.RunConfig(grid_shape=coarse.shape, jmax_twice=2)
+    for what, band, call in [
+        ("analysis", 2, lambda: states.analyze(np.zeros(coarse.n_nodes), 2, coarse)),
+        ("momentum marginal", 4, lambda: wigner.marginal_momentum(rho, 2, coarse, kgrid)),
+        ("overlap", 4, lambda: wigner.overlap_trace(rho, rho, 2, coarse, kgrid)),
+        ("orthogonality", 2, lambda: cli._check_orthogonality(config, None)),
+    ]:
+        with pytest.raises(GridTooCoarse) as info:
+            call()
+        assert str(info.value) == (
+            f"{what} integrand has irrep band {band}, but the group grid 2x1x4 "
+            "is exact only to band 0"
+        )
 
 
 def test_package_import_leaves_scipy_unloaded():
@@ -392,7 +446,7 @@ def test_grid_for_accepts_whole_numbers(value):
 def test_derived_arrays_match_the_node_formulas_bit_for_bit(build):
     # the node arrays made from the 1-D rules by broadcasting are those of
     # the formulas on the full node set: meshgrid trig for the nodes,
-    # su2.mul for the squares, su2.squaring_jacobian, meshgrid Euler angles and
+    # su2.mul for the squares, 8*a0^2 per node, meshgrid Euler angles and
     # su2.from_euler per node
     def same(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -412,7 +466,7 @@ def test_derived_arrays_match_the_node_formulas_bit_for_bit(build):
     ).reshape(-1, 4)
     assert same(grid.nodes, nodes)
     assert same(grid.squared, su2.mul(nodes, nodes))
-    assert same(grid.jacobian, su2.squaring_jacobian(nodes))
+    assert same(grid.jacobian, 8.0 * nodes[:, 0] ** 2)
 
 
 @pytest.mark.parametrize("degree", range(7))

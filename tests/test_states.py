@@ -7,6 +7,7 @@ values at random group elements, with the spin-1/2 values tied to the
 literal defining 2x2 matrices.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -142,6 +143,61 @@ def test_translations_compose_and_preserve_norm():
     )
 
 
+# ---------------------------------------------------------------------------
+# the operator algebra of the canonical momentum (multiplication by D^j_mn,
+# translated multipliers, harmonic projectors), which no package path runs;
+# kept here as references over the package's Clebsch-Gordan data, d-matrices,
+# translations and Haar grids
+
+
+def _u_multiply(state, two_j, two_m, two_n):
+    """Multiply the wavefunction pointwise by ``D^j_{mn}(g)``: the
+    Clebsch-Gordan coupled sum, band ``two_jmax + two_j``."""
+    out = states.zero_state(state.two_jmax + two_j)
+    for two_jp, block in enumerate(state.blocks):
+        labels = irreps.two_m_values(two_jp).tolist()
+        for two_jpp in range(abs(two_j - two_jp), two_j + two_jp + 1, 2):
+            scale = np.sqrt((two_jp + 1.0) / (two_jpp + 1.0))
+            for (ip, mp), (kp, np_) in itertools.product(enumerate(labels), repeat=2):
+                mpp, npp = two_m + mp, two_n + np_
+                if abs(mpp) > two_jpp or abs(npp) > two_jpp:
+                    continue
+                cm = irreps.clebsch_gordan(two_j, two_m, two_jp, mp, two_jpp, mpp)
+                cn = irreps.clebsch_gordan(two_j, two_n, two_jp, np_, two_jpp, npp)
+                out.blocks[two_jpp][(two_jpp - mpp) // 2, (two_jpp - npp) // 2] += (
+                    scale * cm * cn * block[ip, kp]
+                )
+    return out
+
+
+def _dhat_apply(state, g, two_j, two_m, two_n, side="left"):
+    """Multiply by ``D^j_{mn}``, then translate by ``g`` (``side='left'``:
+    ``psi -> psi(g^{-1} .)``; ``side='right'``: ``psi -> psi(. g)``)."""
+    translate = {"left": states.left_translate, "right": states.right_translate}
+    if side not in translate:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return translate[side](_u_multiply(state, two_j, two_m, two_n), g)
+
+
+def _fourier_projector(state, two_j, two_m, two_n, grid, side="left"):
+    """The harmonic projector ``N_J int dg D^J_{MN}(g) x (translation by g)``
+    as a quadrature over ``grid``; ``side='right'`` translates on the right,
+    with ``D^J_{MN}(g^{-1})`` under the integral."""
+    grid._require_band(max(state.two_jmax, two_j), "projector")
+    i, k = (two_j - two_m) // 2, (two_j - two_n) // 2
+    at = grid.nodes if side == "left" else su2.inverse(grid.nodes)
+    wsc = (two_j + 1.0) * grid.weights * irreps.dmatrix(two_j, at)[:, i, k]
+    blocks = []
+    for two_jp, block in enumerate(state.blocks):
+        d = irreps.dmatrix(two_jp, grid.nodes)
+        if side == "left":
+            blocks.append(np.einsum("x,xab->ab", wsc, np.conj(d)) @ block)
+        else:
+            # right translation by node g uses D^{J'}(g).T on the right
+            blocks.append(block @ np.einsum("x,xba->ab", wsc, d))
+    return states.BlockState(tuple(blocks))
+
+
 @pytest.mark.parametrize(
     "two_j,two_m,two_n", [(1, 1, -1), (1, -1, 1), (2, 0, 2), (2, -2, 0)]
 )
@@ -149,7 +205,7 @@ def test_u_multiply_pointwise(two_j, two_m, two_n):
     rng = np.random.default_rng(RNG_SEED)
     s = states.random_state(rng, 2)
     probes = su2.random_elements(rng, 13)
-    lifted = states.u_multiply(s, two_j, two_m, two_n)
+    lifted = _u_multiply(s, two_j, two_m, two_n)
     assert lifted.two_jmax == s.two_jmax + two_j
     i = (two_j - two_m) // 2
     k = (two_j - two_n) // 2
@@ -167,7 +223,7 @@ def test_dhat_apply_pointwise(side):
     s = states.random_state(rng, 1)
     g = su2.random_elements(rng, 1)[0]
     probes = su2.random_elements(rng, 9)
-    moved = states.dhat_apply(s, g, 1, 1, -1, side=side)
+    moved = _dhat_apply(s, g, 1, 1, -1, side=side)
     arg = (
         su2.mul(su2.inverse(g), probes) if side == "left" else su2.mul(probes, g)
     )
@@ -178,7 +234,7 @@ def test_dhat_apply_pointwise(side):
         atol=1e-12,
     )
     with pytest.raises(ValueError):
-        states.dhat_apply(s, g, 1, 1, -1, side="middle")
+        _dhat_apply(s, g, 1, 1, -1, side="middle")
 
 
 def test_fourier_projector_on_basis_states():
@@ -191,7 +247,7 @@ def test_fourier_projector_on_basis_states():
                 basis = states.basis_state(
                     two_jp, int(two_mp), int(two_np), two_jmax=1
                 )
-                out_l = states.fourier_projector(
+                out_l = _fourier_projector(
                     basis, two_j, two_m, two_n, GRID, side="left"
                 )
                 want_l = states.zero_state(1)
@@ -201,7 +257,7 @@ def test_fourier_projector_on_basis_states():
                     )
                 for b1, b2 in zip(out_l.blocks, want_l.blocks):
                     assert_allclose(b1, b2, atol=1e-11)
-                out_r = states.fourier_projector(
+                out_r = _fourier_projector(
                     basis, two_j, two_m, two_n, GRID, side="right"
                 )
                 want_r = states.zero_state(1)
@@ -217,9 +273,9 @@ def test_fourier_projector_composition():
     # E_{MN} E_{PQ} = delta_{NP} E_{MQ} on a generic state
     rng = np.random.default_rng(RNG_SEED)
     s = states.random_state(rng, 1)
-    first = states.fourier_projector(s, 1, -1, 1, GRID, side="left")
-    second = states.fourier_projector(first, 1, 1, -1, GRID, side="left")
-    direct = states.fourier_projector(s, 1, 1, 1, GRID, side="left")
+    first = _fourier_projector(s, 1, -1, 1, GRID, side="left")
+    second = _fourier_projector(first, 1, 1, -1, GRID, side="left")
+    direct = _fourier_projector(s, 1, 1, 1, GRID, side="left")
     for b1, b2 in zip(second.blocks, direct.blocks):
         assert_allclose(b1, b2, atol=1e-10)
 
@@ -228,7 +284,7 @@ def test_fourier_projector_coarse_grid_raises():
     tiny = grids.haar_grid(2, 1, 4)
     s = states.basis_state(1, 1, 1)
     with pytest.raises(GridTooCoarse):
-        states.fourier_projector(s, 1, 1, 1, tiny)
+        _fourier_projector(s, 1, 1, 1, tiny)
 
 
 def test_density_ensemble_validation():

@@ -1,7 +1,7 @@
 """
 Tests for the quaternion realization of SU(2): group arithmetic, Euler
 coordinates, geodesic distance, mid-points, square roots and the squaring
-jacobian.  Expected values come from independent constructions built in this
+jacobian of the hemisphere grids.  Expected values come from independent constructions built in this
 file: the literal 4x4 left-multiplication matrix of quaternion algebra, 2x2
 matrix exponentials of the Pauli generators, and one-dimensional radial
 integrals of the round 3-sphere measure.
@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from groupwigner import su2
+from groupwigner import grids, su2
 from groupwigner.errors import AntipodalPair, DomainError
 
 RNG_SEED = 20240811
@@ -142,17 +142,6 @@ def test_euler_round_trip_gimbal_circles(a):
     assert_allclose(back, a, atol=1e-12)
 
 
-def test_rotation_angle_frozen():
-    assert su2.rotation_angle(su2.identity()) == 0.0
-    assert_allclose(
-        su2.rotation_angle(np.array([-1.0, 0.0, 0.0, 0.0])), 2 * np.pi
-    )
-    # a beta-rotation by angle b has half-angle b/2 from the identity
-    for b in (0.3, 1.5, 2.9):
-        g = su2.from_euler(0.0, b, 0.0)
-        assert_allclose(su2.rotation_angle(g), b, atol=1e-14)
-
-
 def test_distance_bi_invariant():
     rng = np.random.default_rng(RNG_SEED)
     a, b, g = su2.random_elements(rng, 3)
@@ -225,15 +214,9 @@ def test_group_sqrt_squares_back():
     k = su2.group_sqrt(g)
     assert np.all(k[:, 0] > 0)
     assert_allclose(su2.mul(k, k), g, atol=1e-12)
-    assert_allclose(su2.rotation_angle(k), su2.rotation_angle(g) / 2, atol=1e-6)
-
-
-def test_squaring_jacobian_frozen():
-    assert_allclose(su2.squaring_jacobian(su2.identity()), 8.0)
-    k = np.array([0.6, 0.8, 0.0, 0.0])
-    assert_allclose(su2.squaring_jacobian(k), 8.0 * 0.36, atol=1e-15)
-    with pytest.raises(DomainError):
-        su2.squaring_jacobian(np.array([-0.1, 0.0, 0.0, 0.0]))
+    # k halves the geodesic angle from the identity
+    e = su2.identity()
+    assert_allclose(su2.distance(e, k), su2.distance(e, g) / 2, atol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -270,11 +253,11 @@ def test_squaring_jacobian_radial_pushforward(profile):
         epsrel=1e-12,
     )[0]
     assert_allclose(lhs, rhs, atol=1e-10)
-    # and the pointwise jacobian used in that derivation is what the code
-    # returns: 8*k0^2 at a node with chord angle chi has k0 = cos(chi)
-    chi = 0.7
-    k = np.array([np.cos(chi), np.sin(chi), 0.0, 0.0])
-    assert_allclose(su2.squaring_jacobian(k), 8.0 * np.cos(chi) ** 2)
+    # and the pointwise jacobian used in that derivation is what a hemisphere
+    # grid carries: 8*k0^2 at a node with chord angle chi has k0 = cos(chi)
+    grid = grids.hemisphere_grid(7, 4, 8)
+    chi = su2.distance(su2.identity(), grid.nodes)
+    assert_allclose(grid.jacobian, 8.0 * np.cos(chi) ** 2, atol=1e-14)
 
 
 def test_random_elements_deterministic_and_uniform():

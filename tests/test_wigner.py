@@ -767,6 +767,31 @@ def test_group_element_shape_checked():
         wigner.wigner_full_batch(_random_pure(41, 1), [[1.0, 0.0, 0.0]], 0, _kgrid(1, 0))
 
 
+LABEL_ENTRY_POINTS = {
+    "wigner_full_batch": lambda s, t, kg: wigner.wigner_full_batch(s, [E], t, kg),
+    "wigner_tilde_batch": lambda s, t, kg: wigner.wigner_tilde_batch(s, [E], t, kg),
+    "marginal_momentum": lambda s, t, kg: wigner.marginal_momentum(s, t, GGRID, kg),
+    "marginal_position": lambda s, t, kg: wigner.marginal_position(s, E, t, kg),
+    "overlap_trace": lambda s, t, kg: wigner.overlap_trace(s, s, t, GGRID, kg),
+    "reconstruct_kernel": lambda s, t, kg: wigner.reconstruct_kernel(s, E, E, t, kg),
+}
+
+
+@pytest.mark.parametrize(
+    "label", [-1, 2.0, True, np.float64(1.0), "1"], ids=["-1", "2.0", "True", "float64", "str"]
+)
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+def test_labels_that_are_not_counts_raise(entry, label):
+    # checked once, in _require_kgrid, before anything is built for the label
+    with pytest.raises(DomainError, match="non-negative integers"):
+        LABEL_ENTRY_POINTS[entry](_random_pure(41, 1), label, _kgrid(1, 2))
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+def test_numpy_integer_labels_pass(entry):
+    LABEL_ENTRY_POINTS[entry](_random_pure(41, 1), np.int64(1), _kgrid(1, 2))
+
+
 def test_bruteforce_mollified_tracks_exact_block():
     # coarse sanity tier of the pair-integral evaluation: one width on the
     # small grid; the resolved accuracy ladder lives in the acceptance suite
