@@ -63,6 +63,12 @@ class QuadratureGrid:
     weights: np.ndarray = field(init=False)  # (n,), sums to 1
     # the defect its builder's certificate measured; None on a replace copy
     certified_defect: float | None = field(default=None, init=False, compare=False)
+    # D^t on the gamma = 0 plane for wigner's overlap, keyed by two_t and
+    # each built by the first call that needs it; a dataclasses.replace copy
+    # starts empty, since its rules may differ
+    _plane_dmatrices: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         _check_lengths(self, beta=(self.beta, self.beta_weights))
@@ -119,7 +125,7 @@ class HemisphereGrid:
     # the defect its builder's certificate measured; None on a replace copy
     certified_defect: float | None = field(default=None, init=False, compare=False)
     # the state-independent tensor of wigner's label sums, all labels to the
-    # largest cutoff asked for stacked in one array, keyed by the state
+    # largest cutoff asked for stacked in its U(1) blocks, keyed by the state
     # band and holding one band at a time (at most wigner._TENSOR_BYTES);
     # a dataclasses.replace copy starts empty, since its rules may differ
     _overlap_tensors: dict = field(

@@ -31,6 +31,20 @@ __all__ = [
 ]
 
 
+def _is_count(value) -> bool:
+    # JSON true/false parse to bool, which is an int subclass
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_label(two_j) -> None:
+    """Raise :class:`DomainError` unless ``two_j`` is a non-negative integer
+    (a Python or NumPy integer, not a ``bool``)."""
+    if not (_is_count(two_j) and two_j >= 0):
+        raise DomainError(
+            f"doubled irrep labels must be non-negative integers, got {two_j!r}"
+        )
+
+
 def irrep_dim(two_j: int) -> int:
     """Dimension ``2j + 1`` of the spin-``j`` representation."""
     return two_j + 1
@@ -54,8 +68,7 @@ def little_d_matrix(two_j: int, beta):
     """Full little-d matrix, shape ``(..., 2j+1, 2j+1)``, rows/cols ``m`` desc:
     ``d^j(beta) = exp(-i beta J_y) = Re sum_mu P_mu exp(-i beta mu)`` over the
     eigenprojectors of ``J_y`` (Feng et al., PRE 92, 043307 (2015))."""
-    if two_j < 0:
-        raise DomainError(f"two_j must be non-negative, got {two_j}")
+    _require_label(two_j)
     beta = np.asarray(beta, dtype=float)
     dim = irrep_dim(two_j)
     v = _jy_eigenvectors(two_j)
@@ -94,8 +107,7 @@ def character(two_j: int, g):
     Evaluated by the recurrence ``U_n = 2 a0 U_{n-1} - U_{n-2}``, which is
     regular at the identity and the antipode.
     """
-    if two_j < 0:
-        raise DomainError(f"two_j must be non-negative, got {two_j}")
+    _require_label(two_j)
     g = np.asarray(g, dtype=float)
     a0 = g[..., 0]
     u_prev = np.ones_like(a0)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import irreps, su2
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
+from .irreps import _is_count
 
 __all__ = [
     "BlockState",
@@ -78,6 +79,7 @@ class BlockState:
 
 
 def zero_state(two_jmax: int) -> BlockState:
+    irreps._require_label(two_jmax)
     return BlockState(
         tuple(np.zeros((t + 1, t + 1), dtype=complex) for t in range(two_jmax + 1))
     )
@@ -87,14 +89,24 @@ def basis_state(
     two_j: int, two_m: int, two_n: int, two_jmax: int | None = None
 ) -> BlockState:
     """The normalized coefficient basis state with a single unit entry."""
+    irreps._require_label(two_j)
     if two_jmax is None:
         two_jmax = two_j
+    if not (_is_count(two_jmax) and two_jmax >= two_j):
+        raise DomainError(f"basis_state needs two_jmax >= two_j = {two_j}, got {two_jmax!r}")
+    for two_x in (two_m, two_n):
+        if not (_is_count(two_x) and abs(two_x) <= two_j and (two_j - two_x) % 2 == 0):
+            raise DomainError(
+                f"basis_state needs |two_m|, |two_n| <= two_j = {two_j}, of its "
+                f"parity, got {two_x!r}"
+            )
     state = zero_state(two_jmax)
     state.blocks[two_j][(two_j - two_m) // 2, (two_j - two_n) // 2] = 1.0
     return state
 
 
 def random_state(rng: np.random.Generator, two_jmax: int) -> BlockState:
+    irreps._require_label(two_jmax)
     blocks = tuple(
         rng.standard_normal((t + 1, t + 1)) + 1j * rng.standard_normal((t + 1, t + 1))
         for t in range(two_jmax + 1)
@@ -244,6 +256,7 @@ def trace_product(rho1, rho2) -> float:
 def density_coefficients(rho, two_j: int) -> np.ndarray:
     """Matrix elements ``<J M' N'| rho |J M N>`` arranged as
     ``out[M, N, M', N'] = sum_i w_i conj(psi_i[M, N]) psi_i[M', N']``."""
+    irreps._require_label(two_j)
     rho = as_ensemble(rho)
     dim = two_j + 1
     out = np.zeros((dim, dim, dim, dim), dtype=complex)
@@ -275,11 +288,6 @@ def _block_payload(state: BlockState) -> list:
         }
         for two_j, block in enumerate(state.blocks)
     ]
-
-
-def _is_count(value) -> bool:
-    # JSON true/false parse to bool, which is an int subclass
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _holds_bool(value) -> bool:

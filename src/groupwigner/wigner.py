@@ -27,14 +27,16 @@ violations raise :class:`~groupwigner.errors.GridTooCoarse`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import irreps, su2
-from .errors import DomainError, GridTooCoarse
-from .states import _is_count, as_ensemble, synthesize
+from .errors import GridTooCoarse
+from .states import as_ensemble, synthesize
 
 __all__ = [
     "WignerBlock",
@@ -80,10 +82,7 @@ class WignerTildeBlock:
 
 
 def _require_kgrid(two_jmax: int, two_j: int, kgrid) -> None:
-    if not (_is_count(two_j) and two_j >= 0):
-        raise DomainError(
-            f"doubled irrep labels must be non-negative integers, got {two_j!r}"
-        )
+    irreps._require_label(two_j)
     if two_jmax + two_j > kgrid.exactness_twice:
         raise GridTooCoarse(
             f"hemisphere rule certified up to combined doubled degree "
@@ -92,9 +91,9 @@ def _require_kgrid(two_jmax: int, two_j: int, kgrid) -> None:
         )
 
 
-def _chunks(n: int, size: int = _CHUNK, start: int = 0):
-    """Slices of at most ``size`` indices in a row covering ``range(start, n)``."""
-    return (slice(lo, min(lo + size, n)) for lo in range(start, n, size))
+def _chunks(n: int, size: int = _CHUNK):
+    """Slices of at most ``size`` indices in a row covering ``range(n)``."""
+    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
 
 
 def _coefficient_count(two_jmax: int) -> int:
@@ -102,24 +101,26 @@ def _coefficient_count(two_jmax: int) -> int:
     return (two_jmax + 1) * (two_jmax + 2) * (2 * two_jmax + 3) // 6
 
 
-def _coefficients(state, gs: np.ndarray, two_jmax: int):
-    """Translated coefficient vectors ``(u, v)`` of one state, each
-    ``(G, n)`` with ``n = sum_{t <= two_jmax} (t+1)^2`` and zero above the
-    state's band: entry ``(t, a, c)`` of ``u`` is ``sqrt(t+1) sum_m
-    D^t_{ma}(g) psi^(t)_{mc}``, and ``v`` is ``conj(u)`` with ``a`` and ``c``
-    swapped, so that over the flattened ``D(k)`` of :func:`_k_matrices`
+def _coefficients(state, dg, two_jmax: int):
+    """Translated coefficient vectors ``(u, v)`` of one state at the G group
+    elements of ``dg[t] = D^t(g)``, each ``(G, n)`` with ``n = sum_{t <=
+    two_jmax} (t+1)^2`` and zero above the state's band: entry ``(t, a, c)``
+    of ``u`` is ``sqrt(t+1) sum_m D^t_{ma}(g) psi^(t)_{mc}``, and ``v`` is
+    ``conj(u)`` with ``a`` and ``c`` swapped, so that over the flattened
+    ``D(k)`` of :func:`_k_matrices`
 
         psi(g k) = u(g) . D(k),    conj(psi(g k^{-1})) = v(g) . D(k).
     """
-    u = np.zeros((gs.shape[0], _coefficient_count(two_jmax)), dtype=complex)
+    n_g = len(dg[0])
+    u = np.zeros((n_g, _coefficient_count(two_jmax)), dtype=complex)
     v = np.zeros_like(u)
     for two_jp, block in enumerate(state.blocks):
         if np.any(block):
-            cg = np.einsum("gma,mn->gan", irreps.dmatrix(two_jp, gs), block)
+            cg = np.einsum("gma,mn->gan", dg[two_jp], block)
             lo, d = _coefficient_count(two_jp - 1), two_jp + 1
             cg *= np.sqrt(d)
-            u[:, lo : lo + d * d] = cg.reshape(len(gs), -1)
-            v[:, lo : lo + d * d] = np.conj(cg.transpose(0, 2, 1)).reshape(len(gs), -1)
+            u[:, lo : lo + d * d] = cg.reshape(n_g, -1)
+            v[:, lo : lo + d * d] = np.conj(cg.transpose(0, 2, 1)).reshape(n_g, -1)
     return u, v
 
 
@@ -130,8 +131,18 @@ def _k_matrices(ks: np.ndarray, two_jmax: int, start: int = 0) -> np.ndarray:
     return np.concatenate(d, axis=1)
 
 
-#: largest overlap tensor, in bytes, that a label sum keeps on a hemisphere
-#: grid, and largest tensor block built at once (in label or column blocks)
+def _plane_dmatrices(ggrid, two_jmax: int) -> list:
+    """``D^t`` for ``t <= two_jmax`` on the gamma = 0 plane of ``ggrid``,
+    each built by the first call that needs it and kept on the grid."""
+    kept, plane = ggrid._plane_dmatrices, ggrid.nodes[:: ggrid.n_gamma]
+    for t in range(two_jmax + 1):
+        if t not in kept:
+            kept[t] = irreps.dmatrix(t, plane)
+    return [kept[t] for t in range(two_jmax + 1)]
+
+
+#: largest overlap tensor, in bytes of its blocks, that a label sum keeps on
+#: a hemisphere grid, and largest tensor built at once (in label or column runs)
 _TENSOR_BYTES = 64 * 2**20
 #: largest ``(k, pair)``, ``(pair, column)`` or ``(g, pair)`` array formed
 _PAIR_BYTES = 16 * 2**20
@@ -139,58 +150,174 @@ _PAIR_BYTES = 16 * 2**20
 
 @lru_cache(maxsize=None)
 def _pair_rows(two_jmax: int):
-    """Plane-tensor rows: coefficient pairs ``(ia[r], ib[r])`` sorted by
-    gamma frequency ``f = first[alpha] - last[beta] >= 0`` (rows
-    ``bounds[f]:bounds[f + 1]``), ``first`` and ``last`` the doubled ``m`` of
-    an entry's two indices, and ``delta[alpha] + delta[beta]``, ``delta =
-    first - last``."""
+    """Plane-tensor rows: coefficient pairs ``(ia[r], ib[r])`` of gamma
+    frequency ``f = first[alpha] - last[beta] >= 0``, sorted by ``delta[alpha]
+    + delta[beta]`` and then by ``f``, ``first`` and ``last`` the doubled
+    ``m`` of an entry's two indices and ``delta = first - last``.  Row block
+    ``b``, rows ``starts[b]:starts[b + 1]``, holds one frequency ``freq[b]``
+    and one delta ``delta[b]``; the blocks of one delta are consecutive."""
     ms = [irreps.two_m_values(t) for t in range(two_jmax + 1)]
     first = np.concatenate([np.repeat(m, len(m)) for m in ms])
     last = np.concatenate([np.tile(m, len(m)) for m in ms])
     f = (first[:, None] - last).ravel()
-    order = np.flatnonzero(f >= 0)[np.argsort(f[f >= 0], kind="stable")]
+    delta = np.add.outer(first - last, first - last).ravel()
+    kept = np.flatnonzero(f >= 0)
+    order = kept[np.lexsort((f[kept], delta[kept]))]
     ia, ib = np.divmod(order, len(first))
-    bounds = np.searchsorted(f[order], np.arange(2 * two_jmax + 2))
-    return ia, ib, bounds, (first - last)[ia] + (first - last)[ib]
+    f, delta = f[order], delta[order]
+    new = np.flatnonzero(np.diff(f, prepend=-1) | np.diff(delta, prepend=delta[0] - 1))
+    return ia, ib, np.append(new, len(order)), f[new], delta[new]
 
 
-def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> np.ndarray:
-    """``T[(alpha, beta), c] = sum_k D_alpha(k) D_beta(k) w[k] f[k, c]``,
-    rows as in :func:`_pair_rows`, column-major, for a factor ``f =
+def _label_deltas(two_j: int) -> np.ndarray:
+    """``m_b - m_a`` (doubled) of every entry ``(b, a)`` of a ``D^t`` block."""
+    m = irreps.two_m_values(two_j)
+    return np.subtract.outer(m, m).ravel()
+
+
+def _block_entries(two_jmax: int, col_delta: np.ndarray) -> np.ndarray:
+    """Entries each column adds to a blocked tensor: the rows whose delta is
+    the column's."""
+    _, _, starts, _, delta = _pair_rows(two_jmax)
+    top = 4 * two_jmax
+    rows = np.bincount(np.repeat(delta, np.diff(starts)) + top, minlength=2 * top + 1)
+    return np.where(np.abs(col_delta) <= top, rows[np.clip(col_delta + top, 0, 2 * top)], 0)
+
+
+@lru_cache(maxsize=None)
+def _label_entries(two_jmax: int, two_j: int) -> int:
+    """Entries that the columns of label ``two_j`` add to a blocked tensor."""
+    return int(_block_entries(two_jmax, _label_deltas(two_j)).sum())
+
+
+def _runs(entries) -> list:
+    """Split points of consecutive runs of items of ``entries`` tensor
+    entries (16 bytes each), each run within ``_TENSOR_BYTES`` or one item."""
+    total, splits = np.cumsum(entries), [0]
+    while splits[-1] < len(total):
+        base = total[splits[-1] - 1] if splits[-1] else 0
+        end = int(np.searchsorted(total, base + _TENSOR_BYTES // 16, "right"))
+        splits.append(max(splits[-1] + 1, end))
+    return splits
+
+
+def _meet(lo, hi, rows: slice):
+    """``(i, a, b)`` for each row range ``lo[i]:hi[i]`` (ascending, disjoint)
+    that meets the chunk ``rows``: the chunk's rows ``a`` are its rows ``b``."""
+    for i in range(bisect_right(hi, rows.start), len(lo)):
+        if lo[i] >= rows.stop:
+            return
+        top, end = max(lo[i], rows.start), min(hi[i], rows.stop)
+        yield i, slice(top - rows.start, end - rows.start), slice(top - lo[i], end - lo[i])
+
+
+#: the row blocks of a :class:`_BlockTensor`, each field a tuple over them
+_Blocks = namedtuple("_Blocks", "lo hi freq stripe data")
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockTensor:
+    """A plane tensor of ``n_columns`` columns kept by its U(1) blocks.
+    Stripe ``s`` is the rows ``lo[s]:hi[s]`` of :func:`_pair_rows` of one
+    delta against ``cols[s]``, the ascending indices of the columns of that
+    delta, in ``data[s]``; every other entry is a zero of the phi rule.  The
+    row blocks of a stripe, one frequency each, are :attr:`blocks`."""
+
+    two_jmax: int
+    lo: tuple
+    hi: tuple
+    cols: tuple
+    data: tuple
+    n_columns: int
+
+    @cached_property
+    def blocks(self) -> _Blocks:
+        """The rows ``lo:hi`` of frequency ``freq`` in each stripe, and their
+        ``data``, a view of the stripe's."""
+        _, _, starts, freq, _ = _pair_rows(self.two_jmax)
+        out = []
+        for s, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            for b in range(np.searchsorted(starts, lo), np.searchsorted(starts, hi)):
+                a, z = int(starts[b]), int(starts[b + 1])
+                out.append((a, z, int(freq[b]), s, self.data[s][a - lo : z - lo]))
+        return _Blocks(*zip(*out))
+
+    @cached_property
+    def spans(self) -> list:
+        """Where :func:`_traced_kernels` puts each block's columns."""
+        ends = np.cumsum([0] + [len(self.cols[s]) for s in self.blocks.stripe])
+        return list(map(slice, ends[:-1], ends[1:]))
+
+    @cached_property
+    def compact(self) -> tuple:
+        """Column and weight (2 at ``f > 0``, else 1) of each compact column."""
+        stripes, twice = self.blocks.stripe, [1.0 + (f > 0) for f in self.blocks.freq]
+        sizes = [len(self.cols[s]) for s in stripes]
+        return np.concatenate([self.cols[s] for s in stripes]), np.repeat(twice, sizes)
+
+    def columns(self, lo: int, hi: int) -> _BlockTensor:
+        """The tensor of columns ``lo:hi``, its stripes views of these."""
+        if (lo, hi) == (0, self.n_columns):
+            return self
+        cut = [slice(*np.searchsorted(c, (lo, hi))) for c in self.cols]
+        keep = [s for s, c in enumerate(cut) if c.stop > c.start]
+        return _BlockTensor(
+            self.two_jmax, *(tuple(x[s] for s in keep) for x in (self.lo, self.hi)),
+            tuple(self.cols[s][cut[s]] - lo for s in keep),
+            tuple(self.data[s][:, cut[s]] for s in keep), hi - lo,
+        )
+
+
+def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> _BlockTensor:
+    """``T[(alpha, beta), c] = sum_k D_alpha(k) D_beta(k) w[k] f[k, c]`` by
+    U(1) blocks, rows as in :func:`_pair_rows`, for a factor ``f =
     factor(k, k^2)`` whose column ``c`` gains ``e^{i col_delta[c] phi / 2}``
     as ``k`` turns about z by phi, which multiplies ``D^t_{mn}`` by ``e^{-i
     (m - n) phi}`` at ``k`` and ``k^2`` alike: a phi ring sums to its phi = 0
     node, weighted by the ring, where row and column deltas agree, and to
-    zero elsewhere (exact on a grid certified for the integrand).  The rows
-    stop at ``f >= 0`` since kernels are Hermitian on a grid closed under
-    inversion (``theta -> pi - theta``, ``phi -> phi + pi``), as every grid is."""
+    zero elsewhere (exact on a grid certified for the integrand), so only
+    the stripes where they agree are built.  The rows stop at ``f >= 0``
+    since kernels are Hermitian on a grid closed under inversion (``theta ->
+    pi - theta``, ``phi -> phi + pi``), as every grid is."""
     ks, k2 = kgrid.nodes[:: kgrid.n_phi], kgrid.squared[:: kgrid.n_phi]
     wj = kgrid.pushforward_weights.reshape(-1, kgrid.n_phi).sum(axis=1)
-    ia, ib, _, row_delta = _pair_rows(two_jmax)
-    tensor = np.zeros((len(ia), len(col_delta)), dtype=complex, order="F")
+    ia, ib, starts, _, delta = _pair_rows(two_jmax)
+    # the first block of each delta; sorted by delta, the columns of each
+    # delta are one run, in their order
+    first = np.flatnonzero(np.diff(delta, prepend=delta[0] - 1))
+    order = np.argsort(col_delta, kind="stable")
+    runs = [slice(*np.searchsorted(col_delta[order], (d, d + 1))) for d in delta[first]]
+    kept = [s for s, run in enumerate(runs) if run.stop > run.start]
+    lo, hi = starts[first], np.append(starts[first[1:]], len(ia))
+    tensor = _BlockTensor(
+        two_jmax, tuple(int(lo[s]) for s in kept), tuple(int(hi[s]) for s in kept),
+        tuple(order[runs[s]] for s in kept),
+        tuple(np.zeros((hi[s] - lo[s], runs[s].stop - runs[s].start), dtype=complex)
+              for s in kept),
+        len(col_delta),
+    )
     step = max(1, _PAIR_BYTES // (16 * max(_CHUNK, len(col_delta))))
     for sl in _chunks(len(ks), max(1, min(_CHUNK, _PAIR_BYTES // (16 * len(col_delta))))):
         dk = np.ascontiguousarray(_k_matrices(ks[sl], two_jmax).T)
         dkw = dk * wj[sl]
-        f = factor(ks[sl], k2[sl])
+        f = factor(ks[sl], k2[sl])[:, order]
         for rows in _chunks(len(ia), step):
-            block = (dk[ia[rows]] * dkw[ib[rows]]) @ f
-            block[row_delta[rows, None] != col_delta] = 0
-            tensor[rows] += block
+            p = dk[ia[rows]] * dkw[ib[rows]]
+            for s, here, there in _meet(tensor.lo, tensor.hi, rows):
+                tensor.data[s][there] += p[here] @ f[:, runs[kept[s]]]
     return tensor
 
 
-def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> np.ndarray:
+def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> _BlockTensor:
     """The plane tensor of ``conj(D^t(k^2)_{ba})`` for ``t`` in ``labels``,
     columns ``(t, b, a)`` as in :func:`_k_matrices`; with ``keep`` it stays
-    on ``kgrid``, and a smaller cutoff reads its leading columns."""
+    on ``kgrid``, and a smaller cutoff reads the leading columns of each
+    stripe."""
     lo, hi = _coefficient_count(labels.start - 1), _coefficient_count(labels.stop - 1)
     tensor = kgrid._overlap_tensors.get(two_jmax)
-    if tensor is not None and tensor.shape[1] >= hi:
-        return tensor[:, lo:hi]
-    col_delta = np.concatenate(
-        [np.subtract.outer(m, m).ravel() for m in map(irreps.two_m_values, labels)]
-    )
+    if tensor is not None and tensor.n_columns >= hi:
+        return tensor.columns(lo, hi)
+    col_delta = np.concatenate([_label_deltas(t) for t in labels])
     tensor = _plane_tensor(kgrid, two_jmax, lambda k, k2: np.conj(
         _k_matrices(k2, labels.stop - 1, labels.start)), col_delta)
     if keep:
@@ -200,47 +327,60 @@ def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> np.ndarr
 
 
 def _label_tensors(kgrid, two_jmax: int, two_jsum: int):
-    """``(labels, overlap tensor)`` for ``t <= two_jsum`` in blocks of labels
-    whose columns fit in ``_TENSOR_BYTES`` (at least one), kept on ``kgrid``
-    if one block holds all; drop each before asking for the next."""
-    blocks, columns = [0], _TENSOR_BYTES // (16 * len(_pair_rows(two_jmax)[0]))
-    for t in range(1, two_jsum + 1):
-        if _coefficient_count(t) - _coefficient_count(blocks[-1] - 1) > columns:
-            blocks.append(t)
-    for labels in map(range, blocks, blocks[1:] + [two_jsum + 1]):
-        yield labels, _overlap_tensor(kgrid, two_jmax, labels, keep=len(blocks) == 1)
+    """``(labels, overlap tensor)`` for ``t <= two_jsum`` in runs of labels
+    whose blocks fit in ``_TENSOR_BYTES`` (at least one label), kept on
+    ``kgrid`` if one run holds all; drop each before asking for the next."""
+    splits = _runs([_label_entries(two_jmax, t) for t in range(two_jsum + 1)])
+    for labels in map(range, splits[:-1], splits[1:]):
+        yield labels, _overlap_tensor(kgrid, two_jmax, labels, keep=len(splits) == 2)
 
 
-def _traced_kernels(rho, gs: np.ndarray, tensor: np.ndarray, two_jmax: int, fold=False):
-    """``R(g) @ T`` split by the frequency of the tensor's rows, shape ``(2
-    two_jmax + 1, G, columns)``, with ``R[g, (alpha, beta)] = sum_s w_s
-    u_s,alpha(g) v_s,beta(g)`` formed a block of rows at a time, so that the
-    few ``(g, pair)`` arrays alive at once stay within ``_PAIR_BYTES``.
-    ``fold`` sums the frequencies, ``f = 0`` at half weight, to ``(G,
-    columns)``: frequency ``-f`` being the adjoint of ``f``, that plus its
-    adjoint (:func:`_add_adjoint`) is ``R(g) @ T`` over every pair."""
-    ia, ib, bounds, _ = _pair_rows(two_jmax)
-    parts = [(0, len(ia))] if fold else list(zip(bounds[:-1], bounds[1:]))
-    out = np.zeros((len(parts), len(gs), tensor.shape[1]), dtype=complex)
+def _traced_kernels(rho, gs, tensor: _BlockTensor, two_jmax: int, fold=False, dg=None):
+    """``R(g) @ T`` by the blocks of ``T``, with ``R[g, (alpha, beta)] =
+    sum_s w_s u_s,alpha(g) v_s,beta(g)`` formed once per chunk of group
+    nodes, a chunk of rows at a time so that the few ``(g, pair)`` arrays
+    alive at once stay within ``_PAIR_BYTES``.  Each row block of ``R``
+    meets its tensor block, into the compact columns of ``T`` as rows, block
+    ``i`` at ``spans[i]``: shape ``(len(compact[0]), G)``.  ``fold`` sums the
+    frequencies, ``f = 0`` at half weight, so that each stripe of ``R``
+    meets its stripe, into the columns of ``T`` as rows: shape
+    ``(n_columns, G)``.  Frequency ``-f`` being the adjoint of ``f``, that
+    plus its adjoint (:func:`_add_adjoint`) is ``R(g) @ T`` over every pair.
+    ``dg`` holds ``D^t(gs)`` for ``t <= two_jmax``; without it each chunk
+    builds its own."""
+    ia, ib, starts, freq, _ = _pair_rows(two_jmax)
+    if fold:
+        lo, hi, data, dest = tensor.lo, tensor.hi, tensor.data, tensor.cols
+        weight = np.repeat(np.where(freq == 0, 0.5, 1.0), np.diff(starts))[:, None]
+        out = np.zeros((tensor.n_columns, len(gs)), dtype=complex)
+    else:
+        blocks = tensor.blocks
+        lo, hi, data, dest = blocks.lo, blocks.hi, blocks.data, tensor.spans
+        out = np.zeros((dest[-1].stop, len(gs)), dtype=complex)
     for sl in _chunks(len(gs)):
+        if dg is None:
+            d = [irreps.dmatrix(t, gs[sl]) for t in range(two_jmax + 1)]
+        else:
+            d = [x[sl] for x in dg]
         coefficients = [
-            (w, *(x.T.copy() for x in _coefficients(state, gs[sl], two_jmax)))
+            (w, *(x.T.copy() for x in _coefficients(state, d, two_jmax)))
             for w, state in zip(rho.weights, rho.states)
         ]
         step = max(1, _PAIR_BYTES // (64 * (sl.stop - sl.start)))
-        for f, (lo, hi) in enumerate(parts):
-            for rows in _chunks(hi, step, lo):
-                r = sum(w * u[ia[rows]] * v[ib[rows]] for w, u, v in coefficients)
-                if fold:
-                    r[: max(bounds[1] - rows.start, 0)] *= 0.5
-                out[f, sl] += r.T @ tensor[rows]
-    return out[0] if fold else out
+        for rows in _chunks(len(ia), step):
+            r = sum(w * u[ia[rows]] * v[ib[rows]] for w, u, v in coefficients)
+            if fold:
+                r *= weight[rows]
+            for i, here, there in _meet(lo, hi, rows):
+                out[dest[i], sl] += data[i][there].T @ r[here]
+    return out
 
 
 def _add_adjoint(x: np.ndarray, d: int) -> np.ndarray:
-    """``X + X^dagger`` for the ``d x d`` block ``X`` of each row of ``x``."""
-    x = x.reshape(len(x), d, d)
-    return x + np.conj(x.transpose(0, 2, 1))
+    """``X + X^dagger`` for the ``d x d`` block ``X`` of each column of ``x``,
+    shape ``(d, d, columns)``."""
+    x = x.reshape(d, d, -1)
+    return x + np.conj(x.transpose(1, 0, 2))
 
 
 def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
@@ -259,15 +399,16 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
 
     delta = np.subtract.outer(*[irreps.two_m_values(two_j)] * 2)
     col_delta = np.add.outer(delta.T, delta).ravel()
-    x = np.empty((len(gs), dim**4), dtype=complex)
-    for cols in _chunks(dim**4, max(1, _TENSOR_BYTES // (16 * len(_pair_rows(band)[0])))):
+    x = np.empty((dim**4, len(gs)), dtype=complex)
+    splits = _runs(_block_entries(band, col_delta))
+    for cols in map(slice, splits[:-1], splits[1:]):
         tensor = _plane_tensor(kgrid, band, pair_factor, col_delta[cols])
-        x[:, cols] = _traced_kernels(rho, gs, tensor, band, fold=True)
+        x[cols] = _traced_kernels(rho, gs, tensor, band, fold=True)
         del tensor  # before the next block is built
     x = _add_adjoint(x, dim * dim)
     dgj = irreps.dmatrix(two_j, gs)
     return np.einsum(
-        "gma,ganbq,gpb->gmnpq", (two_j + 1.0) * dgj, x.reshape((-1,) + (dim,) * 4),
+        "gma,anbqg,gpb->gmnpq", (two_j + 1.0) * dgj, x.reshape((dim,) * 4 + (-1,)),
         np.conj(dgj), optimize=True,
     )
 
@@ -295,7 +436,7 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     band = rho.two_jmax
     tensor = _overlap_tensor(kgrid, band, range(two_j, two_j + 1), keep=False)
     x = _traced_kernels(rho, gs, tensor, band, fold=True)
-    y_t = (two_j + 1.0) * _add_adjoint(x, two_j + 1)
+    y_t = (two_j + 1.0) * _add_adjoint(x, two_j + 1).transpose(2, 0, 1)
     if variant == "right":
         return y_t
     dg = irreps.dmatrix(two_j, gs)
@@ -358,7 +499,7 @@ def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
     label-sum term of both the position density (``r = e``) and the kernel
     reconstruction (``g = s(g1, g2)``, ``r = g2^{-1} g1``).  Since
     ``chi^t(k^{-2} r) = sum_ba conj(D^t(k^2))_ba D^t(r)_ba``, it is each
-    label's traced kernel ``y[g, (t, b, a)]`` contracted with ``D^t(r)``.
+    label's traced kernel ``y[(t, b, a), g]`` contracted with ``D^t(r)``.
     """
     band = rho.two_jmax
     out = np.empty((len(gs), two_jsum + 1), dtype=complex)
@@ -366,9 +507,9 @@ def _character_sums(rho, gs: np.ndarray, r, two_jsum: int, kgrid) -> np.ndarray:
         dims = np.arange(labels.start + 1, labels.stop + 1)
         for sl in _chunks(len(gs)):
             y = _traced_kernels(rho, gs[sl], tensor, band, fold=True)
-            for d, x in zip(dims, np.split(y, np.cumsum(dims**2)[:-1], axis=1)):
+            for d, x in zip(dims, np.split(y, np.cumsum(dims**2)[:-1])):
                 dr = irreps.dmatrix(d - 1, r)
-                out[sl, d - 1] = d * np.einsum("gba,ba->g", _add_adjoint(x, d), dr)
+                out[sl, d - 1] = d * np.einsum("bag,ba->g", _add_adjoint(x, d), dr)
         del tensor  # before the next block is built
     return out
 
@@ -394,17 +535,17 @@ def marginal_position(rho, g, two_jsum: int, kgrid):
     return values.reshape(lead), increments.reshape(lead + (two_jsum + 1,))
 
 
-def _label_terms(wg: np.ndarray, y1: np.ndarray, y2: np.ndarray, labels: range):
-    """``(2J+1) sum_g w_g Re tr(V_1 V_2)`` for ``2J`` in ``labels``, from
-    :func:`_traced_kernels`.  ``V_2`` is Hermitian, the hemisphere nodes
-    being closed under inversion, so the trace is ``sum V_1 conj(V_2)``, and
-    frequency ``-f`` is the conjugate transpose of ``f``: ``f > 0`` counts
-    twice."""
-    w = np.outer(np.where(np.arange(len(y1)) > 0, 2.0, 1.0), wg).ravel()
-    prod = (y1.view(float) * y2.view(float)).reshape(len(w), -1)
-    terms = (w @ prod).reshape(-1, 2).sum(axis=1)
+def _label_terms(wg, y1, y2, tensor: _BlockTensor, labels: range):
+    """``(2J+1) sum_g w_g Re tr(V_1 V_2)`` for ``2J`` in ``labels``, from the
+    compact columns of :func:`_traced_kernels`.  ``V_2`` is Hermitian, the
+    hemisphere nodes being closed under inversion, so the trace is ``sum
+    V_1 conj(V_2)``, and frequency ``-f`` is the conjugate transpose of
+    ``f``: ``f > 0`` counts twice."""
+    columns, twice = tensor.compact
+    terms = (y1.view(float) * y2.view(float)) @ np.repeat(wg, 2)
     dims = np.arange(labels.start + 1, labels.stop + 1)
-    return np.bincount(np.repeat(dims - 1 - labels.start, dims**2), terms) * dims
+    label = np.searchsorted(np.cumsum(dims**2), columns, "right")
+    return np.bincount(label, terms * twice, minlength=len(dims)) * dims
 
 
 def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"):
@@ -423,9 +564,10 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     entry ``(alpha, beta)`` of ``R(g)`` turns by ``e^{-i gamma f / 2}``, so
     the group integral runs on the gamma = 0 plane, weighted by the rings,
     with frequency ``f`` of one state meeting ``-f`` of the other (exact:
-    ``|f_1 + f_2| <= 4 exactness_degree < n_gamma``).  A tensor within
-    ``_TENSOR_BYTES`` is kept on ``kgrid``; a larger one is built in blocks
-    of whole labels, each contracted and dropped.
+    ``|f_1 + f_2| <= 4 exactness_degree < n_gamma``).  ``D^t`` on that
+    plane is kept on ``ggrid``.  A tensor whose U(1) blocks fit in
+    ``_TENSOR_BYTES`` is kept on ``kgrid``; a larger one is built in runs of
+    whole labels, each contracted and dropped.
     """
     rho1, rho2 = as_ensemble(rho1), as_ensemble(rho2)
     if variant not in ("left", "right"):
@@ -433,12 +575,12 @@ def overlap_trace(rho1, rho2, two_jsum: int, ggrid, kgrid, variant: str = "left"
     ggrid._require_band(rho1.two_jmax + rho2.two_jmax, "overlap")
     band = max(rho1.two_jmax, rho2.two_jmax)
     _require_kgrid(band, two_jsum, kgrid)
-    plane = ggrid.nodes[:: ggrid.n_gamma]
+    plane, dg = ggrid.nodes[:: ggrid.n_gamma], _plane_dmatrices(ggrid, band)
     wg = ggrid.weights.reshape(-1, ggrid.n_gamma).sum(axis=1)
     increments = np.empty(two_jsum + 1)
     for labels, tensor in _label_tensors(kgrid, band, two_jsum):
-        y1, y2 = (_traced_kernels(r, plane, tensor, band) for r in (rho1, rho2))
-        increments[labels.start : labels.stop] = _label_terms(wg, y1, y2, labels)
+        y1, y2 = (_traced_kernels(r, plane, tensor, band, dg=dg) for r in (rho1, rho2))
+        increments[labels.start : labels.stop] = _label_terms(wg, y1, y2, tensor, labels)
         del tensor, y1, y2  # before the next block is built
     return float(increments.sum()), increments
 

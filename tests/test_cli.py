@@ -5,6 +5,7 @@ configuration precedence, determinism of the emitted reports, and the exit
 code contract (0 pass, 1 tolerance failure, 2 usage/schema errors).
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -145,10 +146,12 @@ def test_verify_overlap_check_catches_single_counted_frequencies(monkeypatch):
     assert entry["error"] <= entry["tolerance"]
     original = wigner._label_terms
 
-    def counted_once(wg, y1, y2, labels):
+    def counted_once(wg, y1, y2, tensor, labels):
         y1 = y1.copy()
-        y1[1:] *= 0.5
-        return original(wg, y1, y2, labels)
+        for f, span in zip(tensor.blocks.freq, tensor.spans):
+            if f > 0:
+                y1[span] *= 0.5
+        return original(wg, y1, y2, tensor, labels)
 
     monkeypatch.setattr(wigner, "_label_terms", counted_once)
     entry = cli._check_overlap(config, np.random.default_rng(config.seed))
@@ -166,7 +169,8 @@ def test_verify_hermiticity_check_catches_a_perturbed_tensor(monkeypatch):
 
     def noisy(*args):
         tensor = original(*args)
-        return tensor + 1e-3 * noise.standard_normal(tensor.shape)
+        data = tuple(x + 1e-3 * noise.standard_normal(x.shape) for x in tensor.data)
+        return dataclasses.replace(tensor, data=data)
 
     monkeypatch.setattr(wigner, "_plane_tensor", noisy)
     entry = cli._check_hermiticity(config, np.random.default_rng(config.seed))

@@ -184,6 +184,18 @@ def test_negative_two_j_raises_domain_error(two_j):
 
 
 @pytest.mark.parametrize(
+    "label", [-1, 2.0, True, np.float64(1.0), "1"], ids=["-1", "2.0", "True", "float64", "str"]
+)
+@pytest.mark.parametrize("entry", ["dmatrix", "little_d_matrix", "character"])
+def test_labels_that_are_not_counts_raise(entry, label):
+    # True ran as 1, 2.0 was a TypeError from Python
+    arg = 0.5 if entry == "little_d_matrix" else su2.identity()
+    with pytest.raises(DomainError, match="non-negative integers"):
+        getattr(irreps, entry)(label, arg)
+    getattr(irreps, entry)(np.int64(1), arg)  # NumPy integers pass
+
+
+@pytest.mark.parametrize(
     "g",
     [
         3.0 * su2.identity(),

@@ -51,6 +51,44 @@ def test_basis_state_entries_and_orthonormality():
             assert_allclose(ip, 1.0 if la == lb else 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(1, 3, 1), (1, 0, 1), (1, 1, -3), (1, 1, 2), (2, 2, 2, 1), (-1, 1, 1),
+     (1, 1.0, 1), (1, 1, True), (2.0, 0, 0), (1, 1, 1, 1.0)],
+    ids=["m>j", "m-parity", "n<-j", "n-parity", "jmax<j", "j<0", "m-float",
+         "n-bool", "j-float", "jmax-float"],
+)
+def test_basis_state_rejects_labels_outside_the_irrep(args):
+    # |two_m| > two_j wrapped to another row and a two_m of the wrong parity
+    # set the row below it, both silently
+    with pytest.raises(DomainError):
+        states.basis_state(*args)
+
+
+LABEL_ENTRY_POINTS = {
+    "zero_state": states.zero_state,
+    "random_state": lambda t: states.random_state(np.random.default_rng(RNG_SEED), t),
+    "basis_state": lambda t: states.basis_state(t, 0, 0),
+    "density_coefficients": lambda t: states.density_coefficients(
+        states.basis_state(0, 0, 0), t
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "label", [-1, 2.0, True, np.float64(1.0), "1"], ids=["-1", "2.0", "True", "float64", "str"]
+)
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+def test_labels_that_are_not_counts_raise(entry, label):
+    with pytest.raises(DomainError, match="non-negative integers"):
+        LABEL_ENTRY_POINTS[entry](label)
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+def test_numpy_integer_labels_pass(entry):
+    LABEL_ENTRY_POINTS[entry](np.int64(2))
+
+
 def test_synthesize_constant_block():
     # the two_j = 0 component is the constant function
     s = states.BlockState((np.array([[0.3 + 0.4j]]),))

@@ -290,10 +290,10 @@ REF_KGRID = _product_subgrid(
 
 
 @st.composite
-def _states(draw):
-    """A pure state, or an ensemble of 2-3 members, each of band 0-5."""
+def _states(draw, top=REF_BAND):
+    """A pure state, or an ensemble of 2-3 members, each of band 0 to ``top``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    bands = draw(st.lists(st.integers(0, REF_BAND), min_size=1, max_size=3))
+    bands = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
     members = tuple(states.random_state(rng, b) for b in bands)
     if len(members) == 1:
         return members[0]
@@ -353,10 +353,42 @@ def test_consumers_match_gxk_reference_at_band_6():
     _assert_consumers_match_gxk(rho1, rho2, 4, 6, gg, kg)
 
 
+def test_consumers_match_gxk_reference_at_band_8():
+    # an ensemble with a band-8 member against a band-8 state, on one gamma
+    # ring of haar_grid_for_degree(8) and 4 x 2 plane nodes of
+    # hemisphere_grid_for(8 + 4) on whole phi rings
+    rng = np.random.default_rng(82)
+    rho1 = states.DensityEnsemble(
+        (0.3, 0.7), (states.random_state(rng, 8), states.random_state(rng, 5))
+    )
+    rho2 = states.random_state(rng, 8)
+    gg = _product_subgrid(grids.haar_grid_for_degree(8), alpha=np.s_[4:5], beta=np.s_[3:4])
+    kg = _product_subgrid(grids.hemisphere_grid_for(12), axial=np.s_[1::8], cos_theta=[0, -1])
+    _assert_consumers_match_gxk(rho1, rho2, 2, 4, gg, kg)
+
+
+# one pair of grids for the overlap drawn to band 8: one whole gamma ring
+# (36 nodes), and 4 of 27 axial and 2 of 14 theta values on whole phi rings
+# (224 nodes)
+REF8_JSUM = 4
+REF8_GGRID = _product_subgrid(grids.haar_grid_for_degree(8), alpha=np.s_[7:8], beta=np.s_[5:6])
+REF8_KGRID = _product_subgrid(
+    grids.hemisphere_grid_for(8 + REF8_JSUM), axial=np.s_[2::8], cos_theta=[0, -1]
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho1=_states(8), rho2=_states(8), two_jsum=st.integers(0, REF8_JSUM))
+def test_overlap_matches_gxk_reference_to_band_8(rho1, rho2, two_jsum):
+    _, inc = wigner.overlap_trace(rho1, rho2, two_jsum, REF8_GGRID, REF8_KGRID)
+    ref = _overlap_direct(rho1, rho2, two_jsum, REF8_GGRID, REF8_KGRID)
+    assert np.max(np.abs(inc - ref)) < 1e-13
+
+
 def _all_node_tensor(kgrid, two_jmax, two_jsum):
     """The overlap tensor summed over every hemisphere node, in the rows of
     ``wigner._pair_rows``."""
-    ia, ib, _, _ = wigner._pair_rows(two_jmax)
+    ia, ib = wigner._pair_rows(two_jmax)[:2]
     dk = wigner._k_matrices(kgrid.nodes, two_jmax)
     dk2 = np.conj(wigner._k_matrices(kgrid.squared, two_jsum))
     return (dk[:, ia] * dk[:, ib] * kgrid.pushforward_weights[:, None]).T @ dk2
@@ -368,20 +400,78 @@ def _delta(two_jmax):
     return np.concatenate([np.subtract.outer(m, m).ravel() for m in ms])
 
 
+def _rule(two_jmax, two_jsum):
+    """Where ``delta(alpha) + delta(beta)`` of a row of ``wigner._pair_rows``
+    equals ``delta`` of an overlap tensor column: the entries the phi rule
+    keeps, shape ``(rows, columns)``."""
+    ia, ib = wigner._pair_rows(two_jmax)[:2]
+    delta = _delta(two_jmax)
+    return (delta[ia] + delta[ib])[:, None] == _delta(two_jsum)
+
+
+def _dense_plane_tensor(kgrid, two_jmax, factor, col_delta):
+    """The plane tensor stored dense: every (row, column) product on the phi
+    = 0 plane, weighted by the rings, then set to zero where the row and
+    column deltas differ, rows as in ``wigner._pair_rows``."""
+    ks, k2 = kgrid.nodes[:: kgrid.n_phi], kgrid.squared[:: kgrid.n_phi]
+    wj = kgrid.pushforward_weights.reshape(-1, kgrid.n_phi).sum(axis=1)
+    ia, ib = wigner._pair_rows(two_jmax)[:2]
+    delta = _delta(two_jmax)
+    dk = wigner._k_matrices(ks, two_jmax)
+    tensor = (dk[:, ia] * dk[:, ib] * wj[:, None]).T @ factor(ks, k2)
+    tensor[(delta[ia] + delta[ib])[:, None] != col_delta] = 0
+    return tensor
+
+
+def _dense(tensor, two_jmax):
+    """A blocked plane tensor with the zeros of the phi rule filled in, and
+    the mask of the entries its blocks hold."""
+    shape = (len(wigner._pair_rows(two_jmax)[0]), tensor.n_columns)
+    dense, held = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=bool)
+    for lo, hi, cols, block in zip(tensor.lo, tensor.hi, tensor.cols, tensor.data):
+        dense[lo:hi, cols] = block
+        held[lo:hi, cols] = True
+    return dense, held
+
+
 @pytest.mark.parametrize("two_jmax,two_jsum", [(1, 4), (2, 6), (3, 4)])
 def test_plane_tensor_is_the_all_node_sum(two_jmax, two_jsum):
     kg = dataclasses.replace(_kgrid(two_jmax, two_jsum))
     tensor = wigner._overlap_tensor(kg, two_jmax, range(two_jsum + 1), keep=False)
-    want = _all_node_tensor(kg, two_jmax, two_jsum)
-    assert np.max(np.abs(tensor - want)) < 1e-14
-    # zero exactly where delta(alpha) + delta(beta) != delta(column), and
-    # not identically zero where they agree
-    ia, ib, _, _ = wigner._pair_rows(two_jmax)
-    delta = _delta(two_jmax)
-    rule = (delta[ia] + delta[ib])[:, None] == _delta(two_jsum)
-    assert np.all(tensor[~rule] == 0)
-    assert np.count_nonzero(tensor[rule]) > rule.sum() // 2
+    want = _dense_plane_tensor(
+        kg, two_jmax, lambda k, k2: np.conj(wigner._k_matrices(k2, two_jsum)),
+        _delta(two_jsum),
+    )
+    assert np.max(np.abs(want - _all_node_tensor(kg, two_jmax, two_jsum))) < 1e-14
+    # the blocks hold exactly the entries where delta(alpha) + delta(beta)
+    # = delta(column), agree with the dense tensor there, and skip only its
+    # exact zeros; where the deltas agree it is not identically zero
+    got, held = _dense(tensor, two_jmax)
+    rule = _rule(two_jmax, two_jsum)
+    assert np.array_equal(held, rule)
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert np.all(want[~held] == 0)
+    assert np.count_nonzero(want[rule]) > rule.sum() // 2
+    assert sum(x.nbytes for x in tensor.data) == 16 * rule.sum()
     assert not kg._overlap_tensors
+
+
+def test_pair_rows_are_blocks_of_one_frequency_and_delta():
+    # rows sorted by (delta, f), each block one (delta, f), every pair with
+    # f >= 0 once
+    two_jmax = 3
+    ia, ib, starts, freq, block_delta = wigner._pair_rows(two_jmax)
+    ms = [irreps.two_m_values(t) for t in range(two_jmax + 1)]
+    first = np.concatenate([np.repeat(m, len(m)) for m in ms])
+    last = np.concatenate([np.tile(m, len(m)) for m in ms])
+    f, delta = first[ia] - last[ib], _delta(two_jmax)[ia] + _delta(two_jmax)[ib]
+    assert np.array_equal(np.repeat(freq, np.diff(starts)), f)
+    assert np.array_equal(np.repeat(block_delta, np.diff(starts)), delta)
+    assert len(set(zip(freq, block_delta))) == len(freq)
+    assert np.all(np.diff(delta * 1000 + f) >= 0)
+    n = len(first)
+    assert sorted(ia * n + ib) == [a * n + b for a in range(n) for b in range(n)
+                                   if first[a] - last[b] >= 0]
 
 
 def test_frequency_split_matches_full_grid_contraction():
@@ -392,13 +482,17 @@ def test_frequency_split_matches_full_grid_contraction():
     kg = dataclasses.replace(_kgrid(2, 3))
     tensor = wigner._overlap_tensor(kg, 2, range(4), keep=False)
     n_gamma = gg.shape[2]
-    split = wigner._traced_kernels(rho, gg.nodes[::n_gamma], tensor, 2)
-    ia, ib, _, _ = wigner._pair_rows(2)
+    compact = wigner._traced_kernels(rho, gg.nodes[::n_gamma], tensor, 2)
+    split = np.zeros((5, compact.shape[1], tensor.n_columns), dtype=complex)
+    for f, s, span in zip(tensor.blocks.freq, tensor.blocks.stripe, tensor.spans):
+        split[f][:, tensor.cols[s]] += compact[span].T
+    ia, ib = wigner._pair_rows(2)[:2]
+    dg = [irreps.dmatrix(t, gg.nodes) for t in range(3)]
     r = 0
     for w, state in zip(rho.weights, rho.states):
-        u, v = wigner._coefficients(state, gg.nodes, 2)
+        u, v = wigner._coefficients(state, dg, 2)
         r = r + w * u[:, ia] * v[:, ib]
-    full = r @ tensor
+    full = r @ _dense(tensor, 2)[0]
     phase = np.exp(-0.5j * np.outer(gg.euler[:, 2], np.arange(len(split))))
     turned = np.einsum("gf,fgc->gc", phase, np.repeat(split, n_gamma, axis=1))
     assert np.max(np.abs(full - turned)) < 1e-13
@@ -430,10 +524,59 @@ def test_overlap_tensors_cached_on_kgrid(monkeypatch):
     assert not calls
     assert_allclose(inc, _overlap_direct(a, b, 6, gg, kg), rtol=0, atol=1e-13)
     calls.clear()
-    # a smaller cutoff reuses the cached labels
+    # a smaller cutoff reuses the cached labels: the leading columns of each
+    # kept block, as views (a narrower product may round differently)
     _, inc4 = wigner.overlap_trace(_random_pure(31, 2), _random_pure(32, 1), 4, gg, kg)
     assert not calls
-    assert np.array_equal(inc4, inc6[:5])
+    assert_allclose(inc4, inc6[:5], rtol=0, atol=1e-15)
+    kept, leading = kg._overlap_tensors[2], wigner._overlap_tensor(kg, 2, range(5), False)
+    assert all(np.shares_memory(x, y) for x, y in zip(kept.data, leading.data))
+
+
+def test_warm_overlap_builds_no_dmatrix(monkeypatch):
+    # D^t of the Haar plane stays on the group grid and the tensor on the
+    # hemisphere grid, so a warm call with other states of the band builds
+    # no D-matrix at all; neither cache is filled when a grid is built, and
+    # a replace copy starts empty
+    assert not grids.haar_grid.__wrapped__(6, 3, 12)._plane_dmatrices
+    assert not grids.hemisphere_grid.__wrapped__(7, 4, 8)._overlap_tensors
+    gg, kg = _ref_grids(2, 6)
+    wigner.overlap_trace(_random_pure(67, 2), _random_pure(68, 1), 6, gg, kg)
+    assert sorted(gg._plane_dmatrices) == [0, 1, 2]
+    calls = []
+    original = irreps.dmatrix
+
+    def counting(two_j, g):
+        calls.append(two_j)
+        return original(two_j, g)
+
+    monkeypatch.setattr(irreps, "dmatrix", counting)
+    a, b = _random_ensemble(69, 2), _random_pure(70, 2)
+    _, inc = wigner.overlap_trace(a, b, 6, gg, kg)
+    assert not calls
+    assert not dataclasses.replace(gg)._plane_dmatrices
+    monkeypatch.undo()
+    assert_allclose(inc, _overlap_direct(a, b, 6, gg, kg), rtol=0, atol=1e-13)
+
+
+def test_band_6_cutoff_12_tensor_is_kept_within_budget(monkeypatch):
+    # dense, the (6, 12) tensor would take 133 MiB, over _TENSOR_BYTES; its
+    # blocks take 10 MiB and stay on the grid, so a second call builds no
+    # tensor.  One gamma ring of haar_grid_for_degree(6), and 3 x 2 plane
+    # nodes of hemisphere_grid_for(6 + 12) on whole phi rings
+    gg = _product_subgrid(grids.haar_grid_for_degree(6), alpha=np.s_[3:4], beta=np.s_[2:3])
+    kg = _product_subgrid(grids.hemisphere_grid_for(18), axial=np.s_[2::16], cos_theta=[0, -1])
+    a, b = _random_pure(71, 6), _random_ensemble(72, 6)
+    _, inc = wigner.overlap_trace(a, b, 12, gg, kg)
+    rows = len(wigner._pair_rows(6)[0])
+    assert 16 * rows * wigner._coefficient_count(12) > wigner._TENSOR_BYTES
+    assert _cached_bytes(kg) == 16 * _rule(6, 12).sum() <= wigner._TENSOR_BYTES
+    builds = []
+    monkeypatch.setattr(wigner, "_plane_tensor", lambda *args: builds.append(args))
+    _, again = wigner.overlap_trace(b, a, 12, gg, kg)
+    assert not builds
+    assert_allclose(again, inc, rtol=0, atol=1e-13)
+    assert_allclose(inc, _overlap_direct(a, b, 12, gg, kg), rtol=0, atol=1e-13)
 
 
 def test_overlap_tensors_not_shared_with_replaced_grid(monkeypatch):
@@ -465,7 +608,7 @@ def test_overlap_tensor_path_where_pairs_outnumber_nodes(two_jmax):
 
 
 def _cached_bytes(kgrid):
-    return sum(t.nbytes for t in kgrid._overlap_tensors.values())
+    return sum(x.nbytes for t in kgrid._overlap_tensors.values() for x in t.data)
 
 
 def test_overlap_over_budget_streams_and_keeps_nothing(monkeypatch):
@@ -473,11 +616,11 @@ def test_overlap_over_budget_streams_and_keeps_nothing(monkeypatch):
     kg = dataclasses.replace(_kgrid(2, 4))
     a, b = _random_pure(39, 2), _random_pure(40, 1)
     _, inc = wigner.overlap_trace(a, b, 4, gg, kg)
-    # the kept pair rows times sum_{t <= 4} (t+1)^2 columns
-    rows = len(wigner._pair_rows(2)[0])
-    assert _cached_bytes(kg) == 16 * rows * 55
-    # a budget of 30 columns: labels 0-3, then 4 alone
-    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 16 * rows * 30)
+    # the entries of the kept blocks, of sum_{t <= 4} (t+1)^2 columns
+    rule = _rule(2, 4)
+    assert _cached_bytes(kg) == 16 * rule.sum()
+    # a budget of the blocks of 30 columns: labels 0-3, then 4 alone
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 16 * rule[:, :30].sum())
     blocks = []
     build = wigner._overlap_tensor
 
@@ -536,16 +679,30 @@ def test_k_chunks_that_do_not_divide_the_grid(monkeypatch):
         assert np.max(np.abs(g - w)) < 1e-13
 
 
+def test_full_block_column_runs_match_one_tensor(monkeypatch):
+    # with no byte budget each column of a full block is a run of its own;
+    # at band 1 the rows' deltas reach only 4, so most columns of a J = 3
+    # block meet no row and their tensors have no stripe at all
+    rho, kg = _random_ensemble(73, 1), _kgrid(1, 3)
+    gs = su2.random_elements(np.random.default_rng(74), 3)
+    want = wigner.wigner_full_batch(rho, gs, 3, kg)
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 0)
+    assert np.max(np.abs(wigner.wigner_full_batch(rho, gs, 3, kg) - want)) < 1e-15
+
+
 def test_streamed_overlap_memory_is_bounded_by_one_block(monkeypatch):
-    # at band 4 and cutoff 8 the whole tensor takes 7.3 MB; streamed one or
-    # a few labels at a time, the largest block (label 8 alone) takes 2.2 MB
-    gg = grids.haar_grid_for_degree(4)
-    kg = dataclasses.replace(_kgrid(4, 8))
+    # at band 4 and cutoff 8 the blocks of the whole tensor take 0.83 MB;
+    # streamed in runs of labels within the blocks of label 8 alone (0.20
+    # MB), a call stays below that.  One group node and 3 x 2 plane nodes
+    # keep the traced kernels and the D(k) of a build small beside a run
+    gg = _product_subgrid(grids.haar_grid_for_degree(4), alpha=[0], beta=[0])
+    kg = _product_subgrid(_kgrid(4, 8), axial=np.s_[::9], cos_theta=[0, -1])
     a, b = _random_pure(48, 4), _random_ensemble(49, 4)
     _, want = wigner.overlap_trace(a, b, 8, gg, dataclasses.replace(kg))
-    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 2**20)
-    monkeypatch.setattr(wigner, "_PAIR_BYTES", 2**18)
-    block = 16 * len(wigner._pair_rows(4)[0]) * 81
+    rule = _rule(4, 8)
+    block = 16 * rule[:, -81:].sum()
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", block)
+    monkeypatch.setattr(wigner, "_PAIR_BYTES", 2**16)
     tracemalloc.start()
     try:
         _, inc = wigner.overlap_trace(a, b, 8, gg, kg)
@@ -553,7 +710,7 @@ def test_streamed_overlap_memory_is_bounded_by_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert not kg._overlap_tensors
-    assert peak < 2 * block + 4 * wigner._PAIR_BYTES < block * 285 // 81
+    assert peak < 2 * block + 4 * wigner._PAIR_BYTES < 16 * rule.sum()
     assert_allclose(inc, want, rtol=0, atol=1e-13)
 
 
@@ -611,9 +768,9 @@ def test_overlap_tensor_rebuilt_for_a_larger_cutoff():
     gg, kg = _ref_grids(2, 4)
     a, b = _random_pure(54, 2), _random_ensemble(55, 1)
     _, inc2 = wigner.overlap_trace(a, b, 2, gg, kg)
-    assert kg._overlap_tensors[2].shape[1] == 14
+    assert kg._overlap_tensors[2].n_columns == 14
     _, inc4 = wigner.overlap_trace(a, b, 4, gg, kg)
-    assert [t.shape[1] for t in kg._overlap_tensors.values()] == [55]
+    assert [t.n_columns for t in kg._overlap_tensors.values()] == [55]
     assert_allclose(inc4[:3], inc2, rtol=0, atol=1e-15)
     assert_allclose(inc4, _overlap_direct(a, b, 4, gg, kg), rtol=0, atol=1e-13)
 
