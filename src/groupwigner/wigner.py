@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -116,18 +116,19 @@ def _coefficients(state, dg, two_jmax: int):
     v = np.zeros_like(u)
     for two_jp, block in enumerate(state.blocks):
         if np.any(block):
-            cg = np.einsum("gma,mn->gan", dg[two_jp], block)
+            # cg[g, c, a] = sum_m psi_mc D^t_ma(g)
+            cg = block.T @ dg[two_jp]
             lo, d = _coefficient_count(two_jp - 1), two_jp + 1
             cg *= np.sqrt(d)
-            u[:, lo : lo + d * d] = cg.reshape(n_g, -1)
-            v[:, lo : lo + d * d] = np.conj(cg.transpose(0, 2, 1)).reshape(n_g, -1)
+            u[:, lo : lo + d * d] = cg.transpose(0, 2, 1).reshape(n_g, -1)
+            v[:, lo : lo + d * d] = np.conj(cg).reshape(n_g, -1)
     return u, v
 
 
-def _k_matrices(ks: np.ndarray, two_jmax: int, start: int = 0) -> np.ndarray:
-    """``D^t(k)`` for ``start <= t <= two_jmax``, flattened over ``(t, a, c)``
-    like :func:`_coefficients`: shape ``(K, n)`` from ``start = 0``."""
-    d = [irreps.dmatrix(t, ks).reshape(len(ks), -1) for t in range(start, two_jmax + 1)]
+def _k_matrices(ks: np.ndarray, two_jmax: int) -> np.ndarray:
+    """``D^t(k)`` for ``t <= two_jmax``, flattened over ``(t, a, c)`` like
+    :func:`_coefficients`: shape ``(K, n)``."""
+    d = [irreps.dmatrix(t, ks).reshape(len(ks), -1) for t in range(two_jmax + 1)]
     return np.concatenate(d, axis=1)
 
 
@@ -144,6 +145,8 @@ def _plane_dmatrices(ggrid, two_jmax: int) -> list:
 #: largest overlap tensor, in bytes of its blocks, that a label sum keeps on
 #: a hemisphere grid, and largest tensor built at once (in label or column runs)
 _TENSOR_BYTES = 64 * 2**20
+#: entries of a plane tensor, which is real (see :func:`_plane_tensor`)
+_ENTRY = np.dtype(np.float64)
 #: largest ``(k, pair)``, ``(pair, column)`` or ``(g, pair)`` array formed
 _PAIR_BYTES = 16 * 2**20
 
@@ -192,11 +195,11 @@ def _label_entries(two_jmax: int, two_j: int) -> int:
 
 def _runs(entries) -> list:
     """Split points of consecutive runs of items of ``entries`` tensor
-    entries (16 bytes each), each run within ``_TENSOR_BYTES`` or one item."""
+    entries (``_ENTRY`` each), each run within ``_TENSOR_BYTES`` or one item."""
     total, splits = np.cumsum(entries), [0]
     while splits[-1] < len(total):
         base = total[splits[-1] - 1] if splits[-1] else 0
-        end = int(np.searchsorted(total, base + _TENSOR_BYTES // 16, "right"))
+        end = int(np.searchsorted(total, base + _TENSOR_BYTES // _ENTRY.itemsize, "right"))
         splits.append(max(splits[-1] + 1, end))
     return splits
 
@@ -217,11 +220,13 @@ _Blocks = namedtuple("_Blocks", "lo hi freq stripe data")
 
 @dataclass(frozen=True, eq=False)
 class _BlockTensor:
-    """A plane tensor of ``n_columns`` columns kept by its U(1) blocks.
+    """A real plane tensor of ``n_columns`` columns kept by its U(1) blocks.
     Stripe ``s`` is the rows ``lo[s]:hi[s]`` of :func:`_pair_rows` of one
     delta against ``cols[s]``, the ascending indices of the columns of that
     delta, in ``data[s]``; every other entry is a zero of the phi rule.  The
-    row blocks of a stripe, one frequency each, are :attr:`blocks`."""
+    row blocks of a stripe, one frequency each, are :attr:`blocks`.  An
+    overlap tensor's columns are the ``(t, b, a)`` of :func:`_k_matrices`
+    for ``t`` in ``labels``."""
 
     two_jmax: int
     lo: tuple
@@ -229,6 +234,7 @@ class _BlockTensor:
     cols: tuple
     data: tuple
     n_columns: int
+    labels: range = range(0)
 
     @cached_property
     def blocks(self) -> _Blocks:
@@ -250,36 +256,52 @@ class _BlockTensor:
 
     @cached_property
     def compact(self) -> tuple:
-        """Column and weight (2 at ``f > 0``, else 1) of each compact column."""
+        """Label (counted from ``labels.start``) and weight (2 at ``f > 0``,
+        else 1) of each compact column."""
         stripes, twice = self.blocks.stripe, [1.0 + (f > 0) for f in self.blocks.freq]
         sizes = [len(self.cols[s]) for s in stripes]
-        return np.concatenate([self.cols[s] for s in stripes]), np.repeat(twice, sizes)
+        ends = np.cumsum(np.arange(self.labels.start + 1, self.labels.stop + 1) ** 2)
+        columns = np.concatenate([self.cols[s] for s in stripes])
+        return np.searchsorted(ends, columns, "right"), np.repeat(twice, sizes)
 
-    def columns(self, lo: int, hi: int) -> _BlockTensor:
-        """The tensor of columns ``lo:hi``, its stripes views of these."""
-        if (lo, hi) == (0, self.n_columns):
+    def columns(self, labels: range) -> _BlockTensor:
+        """The overlap tensor of ``labels``, its stripes views of these."""
+        if labels == self.labels:
             return self
+        lo, hi = (_coefficient_count(t - 1) - _coefficient_count(self.labels.start - 1)
+                  for t in (labels.start, labels.stop))
         cut = [slice(*np.searchsorted(c, (lo, hi))) for c in self.cols]
         keep = [s for s, c in enumerate(cut) if c.stop > c.start]
         return _BlockTensor(
             self.two_jmax, *(tuple(x[s] for s in keep) for x in (self.lo, self.hi)),
             tuple(self.cols[s][cut[s]] - lo for s in keep),
-            tuple(self.data[s][:, cut[s]] for s in keep), hi - lo,
+            tuple(self.data[s][:, cut[s]] for s in keep), hi - lo, labels,
         )
 
 
 def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> _BlockTensor:
     """``T[(alpha, beta), c] = sum_k D_alpha(k) D_beta(k) w[k] f[k, c]`` by
-    U(1) blocks, rows as in :func:`_pair_rows`, for a factor ``f =
-    factor(k, k^2)`` whose column ``c`` gains ``e^{i col_delta[c] phi / 2}``
-    as ``k`` turns about z by phi, which multiplies ``D^t_{mn}`` by ``e^{-i
-    (m - n) phi}`` at ``k`` and ``k^2`` alike: a phi ring sums to its phi = 0
-    node, weighted by the ring, where row and column deltas agree, and to
-    zero elsewhere (exact on a grid certified for the integrand), so only
-    the stripes where they agree are built.  The rows stop at ``f >= 0``
-    since kernels are Hermitian on a grid closed under inversion (``theta ->
-    pi - theta``, ``phi -> phi + pi``), as every grid is."""
-    ks, k2 = kgrid.nodes[:: kgrid.n_phi], kgrid.squared[:: kgrid.n_phi]
+    U(1) blocks, rows as in :func:`_pair_rows`, for a factor ``f`` of
+    ``D(k)`` and ``D(k^2)`` whose column ``c`` gains ``e^{i col_delta[c] phi
+    / 2}`` as ``k`` turns about z by phi, which multiplies ``D^t_{mn}`` by
+    ``e^{-i (m - n) phi}`` at ``k`` and ``k^2`` alike: a phi ring sums to
+    its phi = 0 node, weighted by the ring, where row and column deltas
+    agree, and to zero elsewhere (exact on a grid certified for the
+    integrand), so only the stripes where they agree are built.
+    ``factor(sl)`` is ``f`` at the plane nodes ``sl``.  The rows stop at
+    ``f >= 0`` since kernels are Hermitian on a grid closed under inversion
+    (``theta -> pi - theta``, ``phi -> phi + pi``), as every grid is.
+
+    ``T`` is real, so only its real part is formed.  Entrywise conjugation
+    of ``u(a)`` is the automorphism ``a -> (a0, -a1, a2, -a3)``, and
+    ``D^t(conj u) = conj(D^t(u))``, so the summand at the image of a node
+    is the conjugate of the summand at the node (``f`` being a product of
+    D-matrix entries and conjugates).  The map sends the phi = 0 node at
+    theta to the phi = pi node at ``pi - theta``, which is on the grid with
+    the same weight (mirrored theta rule, even ``n_phi``), and inside a
+    stripe the summand is the same all along a phi ring: the plane's sum is
+    its own conjugate."""
+    ks = kgrid.nodes[:: kgrid.n_phi]
     wj = kgrid.pushforward_weights.reshape(-1, kgrid.n_phi).sum(axis=1)
     ia, ib, starts, _, delta = _pair_rows(two_jmax)
     # the first block of each delta; sorted by delta, the columns of each
@@ -292,7 +314,7 @@ def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> _Block
     tensor = _BlockTensor(
         two_jmax, tuple(int(lo[s]) for s in kept), tuple(int(hi[s]) for s in kept),
         tuple(order[runs[s]] for s in kept),
-        tuple(np.zeros((hi[s] - lo[s], runs[s].stop - runs[s].start), dtype=complex)
+        tuple(np.zeros((hi[s] - lo[s], runs[s].stop - runs[s].start), dtype=_ENTRY)
               for s in kept),
         len(col_delta),
     )
@@ -300,12 +322,45 @@ def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> _Block
     for sl in _chunks(len(ks), max(1, min(_CHUNK, _PAIR_BYTES // (16 * len(col_delta))))):
         dk = np.ascontiguousarray(_k_matrices(ks[sl], two_jmax).T)
         dkw = dk * wj[sl]
-        f = factor(ks[sl], k2[sl])[:, order]
+        # Re(p @ f) as one real product: a row of p, read as floats, is
+        # (Re, Im) node by node, and meets (Re f, -Im f) = conj(f) as floats
+        f = factor(sl).T[order]
+        f = np.conj(f, out=f).view(float).T
         for rows in _chunks(len(ia), step):
-            p = dk[ia[rows]] * dkw[ib[rows]]
+            p = (dk[ia[rows]] * dkw[ib[rows]]).view(float)
             for s, here, there in _meet(tensor.lo, tensor.hi, rows):
                 tensor.data[s][there] += p[here] @ f[:, runs[kept[s]]]
     return tensor
+
+
+def _squared_factor(kgrid, labels: range):
+    """``factor(sl)`` of :func:`_plane_tensor` for ``conj(D^t(k^2)_{ba})``,
+    ``t`` in ``labels``, columns ``(t, b, a)`` as in :func:`_k_matrices`,
+    from class angles: the plane node at ``(psi, theta)``, ``cos psi =
+    a0``, is ``R_y(theta) e^{-i psi sigma_z} R_y(theta)^{-1}``, so
+    ``D^t(k^2) = d^t(theta) Lambda_t d^t(theta)^T`` with ``Lambda_t =
+    diag(e^{-2i two_l psi})``, and ``d^t`` is needed at the ``n_theta``
+    angles only."""
+    theta, psi = np.arccos(kgrid.cos_theta), np.arccos(kgrid.axial)
+    d = [irreps.little_d_matrix(t, theta) for t in labels]
+    phase = [2.0 * np.outer(psi, irreps.two_m_values(t)) for t in labels]
+    ends = [_coefficient_count(t) - _coefficient_count(labels.start - 1) for t in labels]
+
+    def factor(sl):
+        axial, polar = np.divmod(np.arange(sl.start, sl.stop), len(theta))
+        out = np.empty((len(polar), ends[-1]), dtype=complex)
+        # (Re, Im) of conj(Lambda_t) = (cos, sin), both in one product
+        parts = out.view(float).reshape(len(polar), -1, 2)
+        for dt, pt, hi in zip(d, phase, ends):
+            dc, p, dim = dt[polar], pt[axial][:, None], dt.shape[-1]
+            x = np.empty((len(polar), 2, dim, dim))
+            np.multiply(dc, np.cos(p), out=x[:, 0])
+            np.multiply(dc, np.sin(p), out=x[:, 1])
+            y = x.reshape(len(polar), 2 * dim, dim) @ dc.transpose(0, 2, 1)
+            parts[:, hi - dim * dim : hi] = y.reshape(len(polar), 2, -1).transpose(0, 2, 1)
+        return out
+
+    return factor
 
 
 def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> _BlockTensor:
@@ -313,13 +368,12 @@ def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> _BlockTe
     columns ``(t, b, a)`` as in :func:`_k_matrices`; with ``keep`` it stays
     on ``kgrid``, and a smaller cutoff reads the leading columns of each
     stripe."""
-    lo, hi = _coefficient_count(labels.start - 1), _coefficient_count(labels.stop - 1)
     tensor = kgrid._overlap_tensors.get(two_jmax)
-    if tensor is not None and tensor.n_columns >= hi:
-        return tensor.columns(lo, hi)
+    if tensor is not None and tensor.labels.stop >= labels.stop:
+        return tensor.columns(labels)
     col_delta = np.concatenate([_label_deltas(t) for t in labels])
-    tensor = _plane_tensor(kgrid, two_jmax, lambda k, k2: np.conj(
-        _k_matrices(k2, labels.stop - 1, labels.start)), col_delta)
+    tensor = replace(_plane_tensor(
+        kgrid, two_jmax, _squared_factor(kgrid, labels), col_delta), labels=labels)
     if keep:
         kgrid._overlap_tensors.clear()
         kgrid._overlap_tensors[two_jmax] = tensor
@@ -371,8 +425,9 @@ def _traced_kernels(rho, gs, tensor: _BlockTensor, two_jmax: int, fold=False, dg
             r = sum(w * u[ia[rows]] * v[ib[rows]] for w, u, v in coefficients)
             if fold:
                 r *= weight[rows]
+            r = r.view(float)  # the real blocks meet Re and Im at once
             for i, here, there in _meet(lo, hi, rows):
-                out[dest[i], sl] += data[i][there].T @ r[here]
+                out[dest[i], sl] += (data[i][there].T @ r[here]).view(complex)
     return out
 
 
@@ -393,9 +448,9 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     # pair_factor[k, (a, n, b, q)] = conj(D_na(k)) conj(D_bq(k)) collects the
     # k-dependence of D_{MN}(g k^{-1}) conj(D_{M'N'}(g k)) after splitting
     # off D(g); its column turns by (m_n - m_a) + (m_b - m_q)
-    def pair_factor(k, k2):
-        cdk = np.conj(irreps.dmatrix(two_j, k))
-        return np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(len(k), -1)[:, cols]
+    def pair_factor(sl):
+        cdk = np.conj(irreps.dmatrix(two_j, kgrid.nodes[:: kgrid.n_phi][sl]))
+        return np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(len(cdk), -1)[:, cols]
 
     delta = np.subtract.outer(*[irreps.two_m_values(two_j)] * 2)
     col_delta = np.add.outer(delta.T, delta).ravel()
@@ -541,10 +596,9 @@ def _label_terms(wg, y1, y2, tensor: _BlockTensor, labels: range):
     hemisphere nodes being closed under inversion, so the trace is ``sum
     V_1 conj(V_2)``, and frequency ``-f`` is the conjugate transpose of
     ``f``: ``f > 0`` counts twice."""
-    columns, twice = tensor.compact
+    label, twice = tensor.compact
     terms = (y1.view(float) * y2.view(float)) @ np.repeat(wg, 2)
     dims = np.arange(labels.start + 1, labels.stop + 1)
-    label = np.searchsorted(np.cumsum(dims**2), columns, "right")
     return np.bincount(label, terms * twice, minlength=len(dims)) * dims
 
 

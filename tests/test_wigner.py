@@ -410,15 +410,17 @@ def _rule(two_jmax, two_jsum):
 
 
 def _dense_plane_tensor(kgrid, two_jmax, factor, col_delta):
-    """The plane tensor stored dense: every (row, column) product on the phi
-    = 0 plane, weighted by the rings, then set to zero where the row and
-    column deltas differ, rows as in ``wigner._pair_rows``."""
-    ks, k2 = kgrid.nodes[:: kgrid.n_phi], kgrid.squared[:: kgrid.n_phi]
+    """The plane tensor stored dense and complex: every (row, column)
+    product on the phi = 0 plane, weighted by the rings, then set to zero
+    where the row and column deltas differ, rows as in
+    ``wigner._pair_rows``; ``factor(sl)`` is the factor at plane nodes
+    ``sl``."""
+    ks = kgrid.nodes[:: kgrid.n_phi]
     wj = kgrid.pushforward_weights.reshape(-1, kgrid.n_phi).sum(axis=1)
     ia, ib = wigner._pair_rows(two_jmax)[:2]
     delta = _delta(two_jmax)
     dk = wigner._k_matrices(ks, two_jmax)
-    tensor = (dk[:, ia] * dk[:, ib] * wj[:, None]).T @ factor(ks, k2)
+    tensor = (dk[:, ia] * dk[:, ib] * wj[:, None]).T @ factor(slice(0, len(ks)))
     tensor[(delta[ia] + delta[ib])[:, None] != col_delta] = 0
     return tensor
 
@@ -427,21 +429,31 @@ def _dense(tensor, two_jmax):
     """A blocked plane tensor with the zeros of the phi rule filled in, and
     the mask of the entries its blocks hold."""
     shape = (len(wigner._pair_rows(two_jmax)[0]), tensor.n_columns)
-    dense, held = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=bool)
+    dense, held = np.zeros(shape), np.zeros(shape, dtype=bool)
     for lo, hi, cols, block in zip(tensor.lo, tensor.hi, tensor.cols, tensor.data):
         dense[lo:hi, cols] = block
         held[lo:hi, cols] = True
     return dense, held
 
 
+def _held_bytes(held) -> int:
+    """Bytes of a blocked tensor that holds ``held`` entries (a count or a
+    mask), each a float64."""
+    return np.dtype(np.float64).itemsize * int(np.sum(held))
+
+
+def _squared_dmatrix(kgrid, two_jsum):
+    """``conj(D^t(k^2))`` for ``t <= two_jsum`` from ``dmatrix`` on the
+    squared plane nodes, as a ``factor(sl)`` of the dense reference."""
+    k2 = kgrid.squared[:: kgrid.n_phi]
+    return lambda sl: np.conj(wigner._k_matrices(k2[sl], two_jsum))
+
+
 @pytest.mark.parametrize("two_jmax,two_jsum", [(1, 4), (2, 6), (3, 4)])
 def test_plane_tensor_is_the_all_node_sum(two_jmax, two_jsum):
     kg = dataclasses.replace(_kgrid(two_jmax, two_jsum))
     tensor = wigner._overlap_tensor(kg, two_jmax, range(two_jsum + 1), keep=False)
-    want = _dense_plane_tensor(
-        kg, two_jmax, lambda k, k2: np.conj(wigner._k_matrices(k2, two_jsum)),
-        _delta(two_jsum),
-    )
+    want = _dense_plane_tensor(kg, two_jmax, _squared_dmatrix(kg, two_jsum), _delta(two_jsum))
     assert np.max(np.abs(want - _all_node_tensor(kg, two_jmax, two_jsum))) < 1e-14
     # the blocks hold exactly the entries where delta(alpha) + delta(beta)
     # = delta(column), agree with the dense tensor there, and skip only its
@@ -452,7 +464,8 @@ def test_plane_tensor_is_the_all_node_sum(two_jmax, two_jsum):
     assert np.max(np.abs(got - want)) < 1e-14
     assert np.all(want[~held] == 0)
     assert np.count_nonzero(want[rule]) > rule.sum() // 2
-    assert sum(x.nbytes for x in tensor.data) == 16 * rule.sum()
+    assert all(x.dtype == np.float64 for x in tensor.data)
+    assert sum(x.nbytes for x in tensor.data) == _held_bytes(rule)
     assert not kg._overlap_tensors
 
 
@@ -569,8 +582,8 @@ def test_band_6_cutoff_12_tensor_is_kept_within_budget(monkeypatch):
     a, b = _random_pure(71, 6), _random_ensemble(72, 6)
     _, inc = wigner.overlap_trace(a, b, 12, gg, kg)
     rows = len(wigner._pair_rows(6)[0])
-    assert 16 * rows * wigner._coefficient_count(12) > wigner._TENSOR_BYTES
-    assert _cached_bytes(kg) == 16 * _rule(6, 12).sum() <= wigner._TENSOR_BYTES
+    assert _held_bytes(rows * wigner._coefficient_count(12)) > wigner._TENSOR_BYTES
+    assert _cached_bytes(kg) == _held_bytes(_rule(6, 12)) <= wigner._TENSOR_BYTES
     builds = []
     monkeypatch.setattr(wigner, "_plane_tensor", lambda *args: builds.append(args))
     _, again = wigner.overlap_trace(b, a, 12, gg, kg)
@@ -618,9 +631,9 @@ def test_overlap_over_budget_streams_and_keeps_nothing(monkeypatch):
     _, inc = wigner.overlap_trace(a, b, 4, gg, kg)
     # the entries of the kept blocks, of sum_{t <= 4} (t+1)^2 columns
     rule = _rule(2, 4)
-    assert _cached_bytes(kg) == 16 * rule.sum()
+    assert _cached_bytes(kg) == _held_bytes(rule)
     # a budget of the blocks of 30 columns: labels 0-3, then 4 alone
-    monkeypatch.setattr(wigner, "_TENSOR_BYTES", 16 * rule[:, :30].sum())
+    monkeypatch.setattr(wigner, "_TENSOR_BYTES", _held_bytes(rule[:, :30]))
     blocks = []
     build = wigner._overlap_tensor
 
@@ -634,6 +647,13 @@ def test_overlap_over_budget_streams_and_keeps_nothing(monkeypatch):
     assert blocks == [(range(0, 4), False), (range(4, 5), False)]
     assert _cached_bytes(fresh) == 0
     assert_allclose(inc2, inc, rtol=0, atol=1e-13)
+    # the same runs read from the tensor kept on the first grid, the second
+    # from its label 4 on
+    blocks.clear()
+    _, inc3 = wigner.overlap_trace(a, b, 4, gg, kg)
+    assert blocks == [(range(0, 4), False), (range(4, 5), False)]
+    assert wigner._overlap_tensor(kg, 2, range(4, 5), False).labels == range(4, 5)
+    assert_allclose(inc3, inc, rtol=0, atol=1e-13)
 
 
 def _pair_kernel_consumers():
@@ -691,18 +711,19 @@ def test_full_block_column_runs_match_one_tensor(monkeypatch):
 
 
 def test_streamed_overlap_memory_is_bounded_by_one_block(monkeypatch):
-    # at band 4 and cutoff 8 the blocks of the whole tensor take 0.83 MB;
-    # streamed in runs of labels within the blocks of label 8 alone (0.20
+    # at band 4 and cutoff 8 the blocks of the whole tensor take 0.41 MB;
+    # streamed in runs of labels within the blocks of label 8 alone (0.10
     # MB), a call stays below that.  One group node and 3 x 2 plane nodes
-    # keep the traced kernels and the D(k) of a build small beside a run
+    # keep the traced kernels and the D(k) of a build small beside a run,
+    # and a 32 KiB pair budget keeps its (g, pair) arrays small too
     gg = _product_subgrid(grids.haar_grid_for_degree(4), alpha=[0], beta=[0])
     kg = _product_subgrid(_kgrid(4, 8), axial=np.s_[::9], cos_theta=[0, -1])
     a, b = _random_pure(48, 4), _random_ensemble(49, 4)
     _, want = wigner.overlap_trace(a, b, 8, gg, dataclasses.replace(kg))
     rule = _rule(4, 8)
-    block = 16 * rule[:, -81:].sum()
+    block = _held_bytes(rule[:, -81:])
     monkeypatch.setattr(wigner, "_TENSOR_BYTES", block)
-    monkeypatch.setattr(wigner, "_PAIR_BYTES", 2**16)
+    monkeypatch.setattr(wigner, "_PAIR_BYTES", 2**15)
     tracemalloc.start()
     try:
         _, inc = wigner.overlap_trace(a, b, 8, gg, kg)
@@ -710,13 +731,14 @@ def test_streamed_overlap_memory_is_bounded_by_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert not kg._overlap_tensors
-    assert peak < 2 * block + 4 * wigner._PAIR_BYTES < 16 * rule.sum()
+    assert peak < 2 * block + 4 * wigner._PAIR_BYTES < _held_bytes(rule)
     assert_allclose(inc, want, rtol=0, atol=1e-13)
 
 
 def test_overlap_tensor_evaluates_d_on_the_plane_only(monkeypatch):
     # the build visits the n_axial x n_theta nodes at phi = 0, as views of
-    # the grid's arrays, and D(k) of the band and D(k^2) of the cutoff there
+    # the grid's arrays, and D(k) of the band there; conj(D(k^2)) of the
+    # cutoff comes from the class angles, with no D-matrix of a node
     kg = dataclasses.replace(_kgrid(2, 4))
     sizes = []
     original = irreps.dmatrix
@@ -730,7 +752,84 @@ def test_overlap_tensor_evaluates_d_on_the_plane_only(monkeypatch):
     gg = grids.haar_grid_for_degree(2)
     wigner.overlap_trace(_random_pure(50, 1), _random_ensemble(51, 2), 4, gg, kg)
     plane = kg.shape[0] * kg.shape[1]
-    assert sizes == [plane] * (3 + 5)
+    assert sizes == [plane] * 3
+
+
+def test_cold_overlap_builds_no_dmatrix_of_a_squared_node(monkeypatch):
+    # conj(D^t(k^2)) comes from little_d_matrix at the n_theta angles, so no
+    # row of kgrid.squared reaches dmatrix, as a view or as a copy
+    kg = dataclasses.replace(_ref_grids(2, 6)[1])
+    squared = {tuple(x) for x in kg.squared}
+    original = irreps.dmatrix
+
+    def guarded(two_j, g):
+        if any(tuple(x) in squared for x in np.reshape(g, (-1, 4))):
+            raise AssertionError(f"dmatrix({two_j}) ran on a squared node")
+        return original(two_j, g)
+
+    monkeypatch.setattr(irreps, "dmatrix", guarded)
+    gg = _ref_grids(2, 6)[0]
+    a, b = _random_pure(75, 2), _random_ensemble(76, 2)
+    _, inc = wigner.overlap_trace(a, b, 6, gg, kg)
+    assert kg._overlap_tensors
+    monkeypatch.undo()
+    assert_allclose(inc, _overlap_direct(a, b, 6, gg, kg), rtol=0, atol=1e-13)
+
+
+def test_class_angle_factor_matches_dmatrix_of_the_squared_nodes():
+    # d^t(theta) Lambda_t d^t(theta)^T against dmatrix on k^2 = R_y(theta)
+    # e^{-2i psi sigma_z} R_y(theta)^{-1}, for every label to 32 at a few
+    # axial rows of the grid that cutoff needs (ending on a partial row);
+    # a label run that starts above 0 reads the same columns
+    kg = _kgrid(2, 32)
+    n_theta = len(kg.cos_theta)
+    for sl in (slice(0, 2 * n_theta), slice(len(kg.axial) * n_theta - 50, len(kg.axial) * n_theta),
+               slice(7 * n_theta + 3, 9 * n_theta - 5)):
+        want = _squared_dmatrix(kg, 32)(sl)
+        got = wigner._squared_factor(kg, range(33))(sl)
+        assert np.max(np.abs(got - want)) < 1e-13
+        lo = wigner._coefficient_count(19)
+        assert np.array_equal(wigner._squared_factor(kg, range(20, 26))(sl),
+                              got[:, lo : wigner._coefficient_count(25)])
+
+
+_REALITY_GRIDS = [
+    (grids.hemisphere_grid(7, 4, 8), 1, 1), (grids.hemisphere_grid(9, 5, 10), 1, 2),
+    (grids.hemisphere_grid(11, 7, 12), 2, 2), (grids.hemisphere_grid(13, 6, 14), 2, 2),
+    (grids.hemisphere_grid(15, 8, 16), 2, 3), (grids.hemisphere_grid_for(14), 2, 2),
+]
+
+
+@pytest.mark.parametrize("kgrid,two_jmax,two_j", _REALITY_GRIDS)
+def test_plane_tensor_is_real(monkeypatch, kgrid, two_jmax, two_j):
+    # the dense complex reference of both tensor kinds, the overlap columns
+    # conj(D^t(k^2)) and the full block's pair factor, has no imaginary
+    # part beyond rounding, on grids of odd and even n_theta, and the
+    # stored float64 blocks are its real part
+    kg = dataclasses.replace(kgrid)
+    two_jsum = kg.exactness_twice - two_jmax
+    built = []
+    original = wigner._plane_tensor
+
+    def recording(*args):
+        built.append((args, original(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(wigner, "_plane_tensor", recording)
+    wigner._overlap_tensor(kg, two_jmax, range(two_jsum + 1), keep=False)
+    wigner.wigner_full_batch(_random_pure(77, two_jmax), su2.identity()[None], two_j, kg)
+    overlap, full = built
+    cases = [
+        (overlap[1], _squared_dmatrix(kg, two_jsum), _delta(two_jsum)),
+        (full[1], full[0][2], full[0][3]),
+    ]
+    for tensor, factor, col_delta in cases:
+        want = _dense_plane_tensor(kg, two_jmax, factor, col_delta)
+        scale = np.max(np.abs(want.real))
+        assert np.max(np.abs(want.imag)) <= 1e-14 * scale
+        got, held = _dense(tensor, two_jmax)
+        assert all(x.dtype == np.float64 for x in tensor.data)
+        assert np.max(np.abs(got - want.real)) < 1e-14
 
 
 def test_full_blocks_evaluate_d_on_the_plane_only(monkeypatch):
