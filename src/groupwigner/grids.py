@@ -124,10 +124,11 @@ class HemisphereGrid:
     squared: np.ndarray = field(init=False)   # (K, 4) the nodes squared in the group
     # the defect its builder's certificate measured; None on a replace copy
     certified_defect: float | None = field(default=None, init=False, compare=False)
-    # the state-independent tensor of wigner's label sums, all labels to the
-    # largest cutoff asked for stacked in its U(1) blocks, keyed by the state
-    # band and holding one band at a time (at most wigner._TENSOR_BYTES);
-    # a dataclasses.replace copy starts empty, since its rules may differ
+    # the state-independent tensor of wigner's label sums, the labels of the
+    # last label sum that fitted stacked in its U(1) blocks, keyed by the
+    # state band and holding one tensor at a time (at most
+    # wigner._TENSOR_BYTES), read again only for exactly its labels; a
+    # dataclasses.replace copy starts empty, since its rules may differ
     _overlap_tensors: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

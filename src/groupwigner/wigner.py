@@ -107,7 +107,7 @@ def _coefficients(state, dg, two_jmax: int):
     two_jmax} (t+1)^2`` and zero above the state's band: entry ``(t, a, c)``
     of ``u`` is ``sqrt(t+1) sum_m D^t_{ma}(g) psi^(t)_{mc}``, and ``v`` is
     ``conj(u)`` with ``a`` and ``c`` swapped, so that over the flattened
-    ``D(k)`` of :func:`_k_matrices`
+    ``D(k)`` of :func:`_plane_d`
 
         psi(g k) = u(g) . D(k),    conj(psi(g k^{-1})) = v(g) . D(k).
     """
@@ -125,11 +125,34 @@ def _coefficients(state, dg, two_jmax: int):
     return u, v
 
 
-def _k_matrices(ks: np.ndarray, two_jmax: int) -> np.ndarray:
-    """``D^t(k)`` for ``t <= two_jmax``, flattened over ``(t, a, c)`` like
-    :func:`_coefficients`: shape ``(K, n)``."""
-    d = [irreps.dmatrix(t, ks).reshape(len(ks), -1) for t in range(two_jmax + 1)]
-    return np.concatenate(d, axis=1)
+def _plane_d(kgrid, labels: range, power: int):
+    """``factor(sl)``: ``D^t(k^power)`` for ``t`` in ``labels`` at the plane
+    nodes ``sl`` of ``kgrid`` (its phi = 0 nodes), flattened over ``(t, a,
+    c)`` like :func:`_coefficients`, from class angles: the plane node at
+    ``(psi, theta)``, ``cos psi = a0``, is ``R_y(theta) e^{-i psi sigma_z}
+    R_y(theta)^{-1}``, so ``D^t(k^p) = d^t(theta) Lambda_t d^t(theta)^T``
+    with ``Lambda_t = diag(e^{-i p two_l psi})``, and ``d^t`` is needed at
+    the ``n_theta`` angles only."""
+    theta, psi = np.arccos(kgrid.cos_theta), np.arccos(kgrid.axial)
+    d = [irreps.little_d_matrix(t, theta) for t in labels]
+    phase = [-power * np.outer(psi, irreps.two_m_values(t)) for t in labels]
+    ends = [_coefficient_count(t) - _coefficient_count(labels.start - 1) for t in labels]
+
+    def factor(sl):
+        axial, polar = np.divmod(np.arange(sl.start, sl.stop), len(theta))
+        out = np.empty((len(polar), ends[-1]), dtype=complex)
+        # (Re, Im) of Lambda_t = (cos, sin) of its phase, both in one product
+        parts = out.view(float).reshape(len(polar), -1, 2)
+        for dt, pt, hi in zip(d, phase, ends):
+            dc, p, dim = dt[polar], pt[axial][:, None], dt.shape[-1]
+            x = np.empty((len(polar), 2, dim, dim))
+            np.multiply(dc, np.cos(p), out=x[:, 0])
+            np.multiply(dc, np.sin(p), out=x[:, 1])
+            y = x.reshape(len(polar), 2 * dim, dim) @ dc.transpose(0, 2, 1)
+            parts[:, hi - dim * dim : hi] = y.reshape(len(polar), 2, -1).transpose(0, 2, 1)
+        return out
+
+    return factor
 
 
 def _plane_dmatrices(ggrid, two_jmax: int) -> list:
@@ -225,7 +248,7 @@ class _BlockTensor:
     delta against ``cols[s]``, the ascending indices of the columns of that
     delta, in ``data[s]``; every other entry is a zero of the phi rule.  The
     row blocks of a stripe, one frequency each, are :attr:`blocks`.  An
-    overlap tensor's columns are the ``(t, b, a)`` of :func:`_k_matrices`
+    overlap tensor's columns are the ``(t, b, a)`` of :func:`_plane_d`
     for ``t`` in ``labels``."""
 
     two_jmax: int
@@ -264,44 +287,31 @@ class _BlockTensor:
         columns = np.concatenate([self.cols[s] for s in stripes])
         return np.searchsorted(ends, columns, "right"), np.repeat(twice, sizes)
 
-    def columns(self, labels: range) -> _BlockTensor:
-        """The overlap tensor of ``labels``, its stripes views of these."""
-        if labels == self.labels:
-            return self
-        lo, hi = (_coefficient_count(t - 1) - _coefficient_count(self.labels.start - 1)
-                  for t in (labels.start, labels.stop))
-        cut = [slice(*np.searchsorted(c, (lo, hi))) for c in self.cols]
-        keep = [s for s, c in enumerate(cut) if c.stop > c.start]
-        return _BlockTensor(
-            self.two_jmax, *(tuple(x[s] for s in keep) for x in (self.lo, self.hi)),
-            tuple(self.cols[s][cut[s]] - lo for s in keep),
-            tuple(self.data[s][:, cut[s]] for s in keep), hi - lo, labels,
-        )
-
 
 def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> _BlockTensor:
-    """``T[(alpha, beta), c] = sum_k D_alpha(k) D_beta(k) w[k] f[k, c]`` by
-    U(1) blocks, rows as in :func:`_pair_rows`, for a factor ``f`` of
-    ``D(k)`` and ``D(k^2)`` whose column ``c`` gains ``e^{i col_delta[c] phi
-    / 2}`` as ``k`` turns about z by phi, which multiplies ``D^t_{mn}`` by
-    ``e^{-i (m - n) phi}`` at ``k`` and ``k^2`` alike: a phi ring sums to
+    """``T[(alpha, beta), c] = Re sum_k D_alpha(k) D_beta(k) w[k] conj(f[k,
+    c])`` by U(1) blocks, rows as in :func:`_pair_rows`, for a factor ``f``
+    of ``D(k)`` and ``D(k^2)`` whose column ``c`` gains ``e^{-i col_delta[c]
+    phi / 2}`` as ``k`` turns about z by phi, which multiplies ``D^t_{mn}``
+    by ``e^{-i (m - n) phi}`` at ``k`` and ``k^2`` alike: a phi ring sums to
     its phi = 0 node, weighted by the ring, where row and column deltas
     agree, and to zero elsewhere (exact on a grid certified for the
-    integrand), so only the stripes where they agree are built.
-    ``factor(sl)`` is ``f`` at the plane nodes ``sl``.  The rows stop at
-    ``f >= 0`` since kernels are Hermitian on a grid closed under inversion
-    (``theta -> pi - theta``, ``phi -> phi + pi``), as every grid is.
+    integrand), so only the stripes where they agree are built, each in one
+    product per chunk of plane nodes.  ``factor(sl)`` is ``f`` at the plane
+    nodes ``sl``, like the rows' ``D(k)`` from :func:`_plane_d`.  The rows
+    stop at ``f >= 0`` since kernels are Hermitian on a grid closed under
+    inversion (``theta -> pi - theta``, ``phi -> phi + pi``), as every grid
+    is.
 
     ``T`` is real, so only its real part is formed.  Entrywise conjugation
     of ``u(a)`` is the automorphism ``a -> (a0, -a1, a2, -a3)``, and
     ``D^t(conj u) = conj(D^t(u))``, so the summand at the image of a node
     is the conjugate of the summand at the node (``f`` being a product of
-    D-matrix entries and conjugates).  The map sends the phi = 0 node at
-    theta to the phi = pi node at ``pi - theta``, which is on the grid with
-    the same weight (mirrored theta rule, even ``n_phi``), and inside a
-    stripe the summand is the same all along a phi ring: the plane's sum is
-    its own conjugate."""
-    ks = kgrid.nodes[:: kgrid.n_phi]
+    D-matrix entries).  The map sends the phi = 0 node at theta to the phi
+    = pi node at ``pi - theta``, which is on the grid with the same weight
+    (mirrored theta rule, even ``n_phi``), and inside a stripe the summand
+    is the same all along a phi ring: the plane's sum is its own
+    conjugate."""
     wj = kgrid.pushforward_weights.reshape(-1, kgrid.n_phi).sum(axis=1)
     ia, ib, starts, _, delta = _pair_rows(two_jmax)
     # the first block of each delta; sorted by delta, the columns of each
@@ -318,62 +328,31 @@ def _plane_tensor(kgrid, two_jmax: int, factor, col_delta: np.ndarray) -> _Block
               for s in kept),
         len(col_delta),
     )
-    step = max(1, _PAIR_BYTES // (16 * max(_CHUNK, len(col_delta))))
-    for sl in _chunks(len(ks), max(1, min(_CHUNK, _PAIR_BYTES // (16 * len(col_delta))))):
-        dk = np.ascontiguousarray(_k_matrices(ks[sl], two_jmax).T)
+    rows = _plane_d(kgrid, range(two_jmax + 1), 1)
+    widest = max([hi[s] - lo[s] for s in kept] + [len(col_delta)])
+    for sl in _chunks(len(wj), max(1, min(_CHUNK, _PAIR_BYTES // (16 * widest)))):
+        dk = np.ascontiguousarray(rows(sl).T)
         dkw = dk * wj[sl]
-        # Re(p @ f) as one real product: a row of p, read as floats, is
-        # (Re, Im) node by node, and meets (Re f, -Im f) = conj(f) as floats
-        f = factor(sl).T[order]
-        f = np.conj(f, out=f).view(float).T
-        for rows in _chunks(len(ia), step):
-            p = (dk[ia[rows]] * dkw[ib[rows]]).view(float)
-            for s, here, there in _meet(tensor.lo, tensor.hi, rows):
-                tensor.data[s][there] += p[here] @ f[:, runs[kept[s]]]
+        # Re(p @ conj(f)) as one real product: a row of p, read as floats,
+        # is (Re, Im) node by node, and meets (Re f, Im f), f read as floats
+        f = factor(sl).T[order].view(float).T
+        for s, data in zip(kept, tensor.data):
+            p = dk[ia[lo[s] : hi[s]]]
+            p *= dkw[ib[lo[s] : hi[s]]]
+            data += p.view(float) @ f[:, runs[s]]
     return tensor
 
 
-def _squared_factor(kgrid, labels: range):
-    """``factor(sl)`` of :func:`_plane_tensor` for ``conj(D^t(k^2)_{ba})``,
-    ``t`` in ``labels``, columns ``(t, b, a)`` as in :func:`_k_matrices`,
-    from class angles: the plane node at ``(psi, theta)``, ``cos psi =
-    a0``, is ``R_y(theta) e^{-i psi sigma_z} R_y(theta)^{-1}``, so
-    ``D^t(k^2) = d^t(theta) Lambda_t d^t(theta)^T`` with ``Lambda_t =
-    diag(e^{-2i two_l psi})``, and ``d^t`` is needed at the ``n_theta``
-    angles only."""
-    theta, psi = np.arccos(kgrid.cos_theta), np.arccos(kgrid.axial)
-    d = [irreps.little_d_matrix(t, theta) for t in labels]
-    phase = [2.0 * np.outer(psi, irreps.two_m_values(t)) for t in labels]
-    ends = [_coefficient_count(t) - _coefficient_count(labels.start - 1) for t in labels]
-
-    def factor(sl):
-        axial, polar = np.divmod(np.arange(sl.start, sl.stop), len(theta))
-        out = np.empty((len(polar), ends[-1]), dtype=complex)
-        # (Re, Im) of conj(Lambda_t) = (cos, sin), both in one product
-        parts = out.view(float).reshape(len(polar), -1, 2)
-        for dt, pt, hi in zip(d, phase, ends):
-            dc, p, dim = dt[polar], pt[axial][:, None], dt.shape[-1]
-            x = np.empty((len(polar), 2, dim, dim))
-            np.multiply(dc, np.cos(p), out=x[:, 0])
-            np.multiply(dc, np.sin(p), out=x[:, 1])
-            y = x.reshape(len(polar), 2 * dim, dim) @ dc.transpose(0, 2, 1)
-            parts[:, hi - dim * dim : hi] = y.reshape(len(polar), 2, -1).transpose(0, 2, 1)
-        return out
-
-    return factor
-
-
 def _overlap_tensor(kgrid, two_jmax: int, labels: range, keep: bool) -> _BlockTensor:
-    """The plane tensor of ``conj(D^t(k^2)_{ba})`` for ``t`` in ``labels``,
-    columns ``(t, b, a)`` as in :func:`_k_matrices`; with ``keep`` it stays
-    on ``kgrid``, and a smaller cutoff reads the leading columns of each
-    stripe."""
+    """The plane tensor of ``D^t(k^2)_{ba}`` for ``t`` in ``labels``, columns
+    ``(t, b, a)`` as in :func:`_plane_d`; with ``keep`` it stays on
+    ``kgrid``, where it serves later calls for exactly these labels."""
     tensor = kgrid._overlap_tensors.get(two_jmax)
-    if tensor is not None and tensor.labels.stop >= labels.stop:
-        return tensor.columns(labels)
+    if tensor is not None and tensor.labels == labels:
+        return tensor
     col_delta = np.concatenate([_label_deltas(t) for t in labels])
     tensor = replace(_plane_tensor(
-        kgrid, two_jmax, _squared_factor(kgrid, labels), col_delta), labels=labels)
+        kgrid, two_jmax, _plane_d(kgrid, labels, 2), col_delta), labels=labels)
     if keep:
         kgrid._overlap_tensors.clear()
         kgrid._overlap_tensors[two_jmax] = tensor
@@ -445,12 +424,14 @@ def wigner_full_batch(rho, gs, two_j: int, kgrid) -> np.ndarray:
     _require_kgrid(rho.two_jmax, two_j, kgrid)
     gs = su2._as_elements(gs)
     dim, band = two_j + 1, rho.two_jmax
-    # pair_factor[k, (a, n, b, q)] = conj(D_na(k)) conj(D_bq(k)) collects the
-    # k-dependence of D_{MN}(g k^{-1}) conj(D_{M'N'}(g k)) after splitting
-    # off D(g); its column turns by (m_n - m_a) + (m_b - m_q)
+    # conj(pair_factor[k, (a, n, b, q)]) = conj(D_na(k)) conj(D_bq(k)) collects
+    # the k-dependence of D_{MN}(g k^{-1}) conj(D_{M'N'}(g k)) after splitting
+    # off D(g); the column turns by (m_n - m_a) + (m_b - m_q)
+    dk = _plane_d(kgrid, range(two_j, two_j + 1), 1)
+
     def pair_factor(sl):
-        cdk = np.conj(irreps.dmatrix(two_j, kgrid.nodes[:: kgrid.n_phi][sl]))
-        return np.einsum("kna,kbq->kanbq", cdk, cdk).reshape(len(cdk), -1)[:, cols]
+        d = dk(sl).reshape(-1, dim, dim)
+        return np.einsum("kna,kbq->kanbq", d, d).reshape(len(d), -1)[:, cols]
 
     delta = np.subtract.outer(*[irreps.two_m_values(two_j)] * 2)
     col_delta = np.add.outer(delta.T, delta).ravel()
@@ -486,8 +467,9 @@ def wigner_tilde_batch(rho, gs, two_j: int, kgrid, variant: str = "left"):
     gs = su2._as_elements(gs)
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be 'left' or 'right', got {variant!r}")
-    # the plane tensor of conj(D^J(k^2)), flattened over (b, a), makes the
-    # traced kernel Y(g)^T / N_J, since D^J(k^{-2})_{ab} = conj(D^J(k^2)_{ba})
+    # the plane tensor of D^J(k^2), which meets it conjugated, flattened over
+    # (b, a), makes the traced kernel Y(g)^T / N_J, since D^J(k^{-2})_{ab} =
+    # conj(D^J(k^2)_{ba})
     band = rho.two_jmax
     tensor = _overlap_tensor(kgrid, band, range(two_j, two_j + 1), keep=False)
     x = _traced_kernels(rho, gs, tensor, band, fold=True)

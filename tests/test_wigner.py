@@ -385,12 +385,19 @@ def test_overlap_matches_gxk_reference_to_band_8(rho1, rho2, two_jsum):
     assert np.max(np.abs(inc - ref)) < 1e-13
 
 
+def _k_matrices(ks, two_jmax):
+    """``D^t(k)`` for ``t <= two_jmax`` from ``irreps.dmatrix``, flattened
+    over ``(t, a, c)`` like ``wigner._plane_d``: shape ``(K, n)``."""
+    d = [irreps.dmatrix(t, ks).reshape(len(ks), -1) for t in range(two_jmax + 1)]
+    return np.concatenate(d, axis=1)
+
+
 def _all_node_tensor(kgrid, two_jmax, two_jsum):
     """The overlap tensor summed over every hemisphere node, in the rows of
     ``wigner._pair_rows``."""
     ia, ib = wigner._pair_rows(two_jmax)[:2]
-    dk = wigner._k_matrices(kgrid.nodes, two_jmax)
-    dk2 = np.conj(wigner._k_matrices(kgrid.squared, two_jsum))
+    dk = _k_matrices(kgrid.nodes, two_jmax)
+    dk2 = np.conj(_k_matrices(kgrid.squared, two_jsum))
     return (dk[:, ia] * dk[:, ib] * kgrid.pushforward_weights[:, None]).T @ dk2
 
 
@@ -414,13 +421,13 @@ def _dense_plane_tensor(kgrid, two_jmax, factor, col_delta):
     product on the phi = 0 plane, weighted by the rings, then set to zero
     where the row and column deltas differ, rows as in
     ``wigner._pair_rows``; ``factor(sl)`` is the factor at plane nodes
-    ``sl``."""
+    ``sl``, which the rows meet conjugated."""
     ks = kgrid.nodes[:: kgrid.n_phi]
     wj = kgrid.pushforward_weights.reshape(-1, kgrid.n_phi).sum(axis=1)
     ia, ib = wigner._pair_rows(two_jmax)[:2]
     delta = _delta(two_jmax)
-    dk = wigner._k_matrices(ks, two_jmax)
-    tensor = (dk[:, ia] * dk[:, ib] * wj[:, None]).T @ factor(slice(0, len(ks)))
+    dk = _k_matrices(ks, two_jmax)
+    tensor = (dk[:, ia] * dk[:, ib] * wj[:, None]).T @ np.conj(factor(slice(0, len(ks))))
     tensor[(delta[ia] + delta[ib])[:, None] != col_delta] = 0
     return tensor
 
@@ -443,10 +450,10 @@ def _held_bytes(held) -> int:
 
 
 def _squared_dmatrix(kgrid, two_jsum):
-    """``conj(D^t(k^2))`` for ``t <= two_jsum`` from ``dmatrix`` on the
-    squared plane nodes, as a ``factor(sl)`` of the dense reference."""
+    """``D^t(k^2)`` for ``t <= two_jsum`` from ``dmatrix`` on the squared
+    plane nodes, as a ``factor(sl)`` of the dense reference."""
     k2 = kgrid.squared[:: kgrid.n_phi]
-    return lambda sl: np.conj(wigner._k_matrices(k2[sl], two_jsum))
+    return lambda sl: _k_matrices(k2[sl], two_jsum)
 
 
 @pytest.mark.parametrize("two_jmax,two_jsum", [(1, 4), (2, 6), (3, 4)])
@@ -511,39 +518,49 @@ def test_frequency_split_matches_full_grid_contraction():
     assert np.max(np.abs(full - turned)) < 1e-13
 
 
-def _count_kgrid_dmatrix(monkeypatch, kgrid):
-    """Count ``irreps.dmatrix`` calls on (chunks of) the kgrid node arrays."""
-    calls = []
-    original = irreps.dmatrix
+def _count_builds(monkeypatch):
+    """Record the column count of every plane tensor built."""
+    builds = []
+    original = wigner._plane_tensor
 
-    def counting(two_j, g):
-        if np.may_share_memory(g, kgrid.nodes) or np.may_share_memory(g, kgrid.squared):
-            calls.append(two_j)
-        return original(two_j, g)
+    def counting(kgrid, two_jmax, factor, col_delta):
+        builds.append(len(col_delta))
+        return original(kgrid, two_jmax, factor, col_delta)
 
-    monkeypatch.setattr(irreps, "dmatrix", counting)
-    return calls
+    monkeypatch.setattr(wigner, "_plane_tensor", counting)
+    return builds
 
 
 def test_overlap_tensors_cached_on_kgrid(monkeypatch):
     gg, kg = _ref_grids(2, 6)
-    calls = _count_kgrid_dmatrix(monkeypatch, kg)
-    _, inc6 = wigner.overlap_trace(_random_pure(31, 2), _random_pure(32, 1), 6, gg, kg)
-    assert calls
-    calls.clear()
-    # other states, the same band: no kgrid D-matrix is built again
+    builds = _count_builds(monkeypatch)
+    wigner.overlap_trace(_random_pure(31, 2), _random_pure(32, 1), 6, gg, kg)
+    assert builds == [wigner._coefficient_count(6)]
+    builds.clear()
+    # other states, the same band: no tensor is built again
     a, b = _random_ensemble(33, 2), _random_pure(34, 2)
     _, inc = wigner.overlap_trace(a, b, 6, gg, kg)
-    assert not calls
+    assert not builds
     assert_allclose(inc, _overlap_direct(a, b, 6, gg, kg), rtol=0, atol=1e-13)
-    calls.clear()
-    # a smaller cutoff reuses the cached labels: the leading columns of each
-    # kept block, as views (a narrower product may round differently)
-    _, inc4 = wigner.overlap_trace(_random_pure(31, 2), _random_pure(32, 1), 4, gg, kg)
-    assert not calls
+
+
+def test_kept_overlap_tensor_serves_only_its_own_labels(monkeypatch):
+    # a smaller cutoff builds its labels once and keeps them in place of
+    # the larger tensor; a traced block then builds its one label alone and
+    # leaves the kept tensor in place
+    gg, kg = _ref_grids(2, 6)
+    a, b = _random_pure(31, 2), _random_pure(32, 1)
+    _, inc6 = wigner.overlap_trace(a, b, 6, gg, kg)
+    builds = _count_builds(monkeypatch)
+    _, inc4 = wigner.overlap_trace(a, b, 4, gg, kg)
+    assert builds == [wigner._coefficient_count(4)]
+    kept = kg._overlap_tensors[2]
+    assert kept.labels == range(5)
     assert_allclose(inc4, inc6[:5], rtol=0, atol=1e-15)
-    kept, leading = kg._overlap_tensors[2], wigner._overlap_tensor(kg, 2, range(5), False)
-    assert all(np.shares_memory(x, y) for x, y in zip(kept.data, leading.data))
+    builds.clear()
+    wigner.wigner_tilde_batch(a, gg.nodes[:3], 2, kg, "right")
+    assert builds == [9]
+    assert list(kg._overlap_tensors) == [2] and kg._overlap_tensors[2] is kept
 
 
 def test_warm_overlap_builds_no_dmatrix(monkeypatch):
@@ -601,9 +618,9 @@ def test_overlap_tensors_not_shared_with_replaced_grid(monkeypatch):
     # tensors reused from the original grid (same shape, same nodes) would
     # leave them unchanged
     doubled = dataclasses.replace(kg, theta_weights=2.0 * kg.theta_weights)
-    calls = _count_kgrid_dmatrix(monkeypatch, doubled)
+    builds = _count_builds(monkeypatch)
     _, inc2 = wigner.overlap_trace(a, b, 4, gg, doubled)
-    assert calls
+    assert builds == [wigner._coefficient_count(4)]
     assert_allclose(inc2, 4.0 * inc, rtol=1e-12, atol=1e-15)
 
 
@@ -647,12 +664,13 @@ def test_overlap_over_budget_streams_and_keeps_nothing(monkeypatch):
     assert blocks == [(range(0, 4), False), (range(4, 5), False)]
     assert _cached_bytes(fresh) == 0
     assert_allclose(inc2, inc, rtol=0, atol=1e-13)
-    # the same runs read from the tensor kept on the first grid, the second
-    # from its label 4 on
+    # the same runs on the first grid, each built alone: the tensor kept
+    # there holds labels 0-4, which neither run is, and it stays in place
     blocks.clear()
+    kept = kg._overlap_tensors[2]
     _, inc3 = wigner.overlap_trace(a, b, 4, gg, kg)
     assert blocks == [(range(0, 4), False), (range(4, 5), False)]
-    assert wigner._overlap_tensor(kg, 2, range(4, 5), False).labels == range(4, 5)
+    assert kg._overlap_tensors[2] is kept and kept.labels == range(5)
     assert_allclose(inc3, inc, rtol=0, atol=1e-13)
 
 
@@ -676,25 +694,57 @@ def _pair_kernel_consumers():
     ]
 
 
-def test_k_chunks_that_do_not_divide_the_grid(monkeypatch):
-    # a 9 472-byte budget splits the 66 plane nodes of the hemisphere into
-    # chunks of 37 + 29 for the full block's 16 columns, and of 42, 65 or
-    # more for the traced tensors; every (g, pair) block is one row, and
-    # the group nodes split 512 + 488
-    want = _pair_kernel_consumers()
-    kg = _kgrid(2, 2)
-    assert kg.shape[0] * kg.shape[1] == 66
-    monkeypatch.setattr(wigner, "_PAIR_BYTES", 16 * 16 * 37)
+def _record_plane_d(monkeypatch):
+    """Record ``(labels, power, sl)`` of every evaluation of a factor of
+    ``wigner._plane_d``."""
+    seen = []
+    original = wigner._plane_d
+
+    def recording(kgrid, labels, power):
+        factor = original(kgrid, labels, power)
+
+        def evaluate(sl):
+            seen.append((labels, power, sl))
+            return factor(sl)
+
+        return evaluate
+
+    monkeypatch.setattr(wigner, "_plane_d", recording)
+    return seen
+
+
+def _guard_hemisphere_dmatrix(monkeypatch, kgrid):
+    """Make ``irreps.dmatrix`` raise on any row of ``kgrid.nodes`` or
+    ``kgrid.squared``, as a view or a copy; returns the sizes it ran on."""
+    rows = {tuple(x) for x in np.vstack([kgrid.nodes, kgrid.squared])}
     sizes = []
     original = irreps.dmatrix
 
-    def recording(two_j, g):
-        sizes.append(len(np.atleast_2d(g)))
+    def guarded(two_j, g):
+        if any(tuple(x) in rows for x in np.reshape(g, (-1, 4))):
+            raise AssertionError(f"dmatrix({two_j}) ran on a hemisphere node")
+        sizes.append(len(np.reshape(g, (-1, 4))))
         return original(two_j, g)
 
-    monkeypatch.setattr(irreps, "dmatrix", recording)
+    monkeypatch.setattr(irreps, "dmatrix", guarded)
+    return sizes
+
+
+def test_k_chunks_that_do_not_divide_the_grid(monkeypatch):
+    # at band 2 the widest stripe, 36 rows, is wider than any of these
+    # tensors' columns (at most 16, the full block's), so a 21 312-byte
+    # budget splits the 66 plane nodes of the hemisphere into chunks of 37 +
+    # 29 for every tensor; every (g, pair) block is one row, and the group
+    # nodes split 512 + 488
+    want = _pair_kernel_consumers()
+    kg = _kgrid(2, 2)
+    assert kg.shape[0] * kg.shape[1] == 66
+    _, _, starts, _, delta = wigner._pair_rows(2)
+    assert np.unique(np.repeat(delta, np.diff(starts)), return_counts=True)[1].max() == 36
+    monkeypatch.setattr(wigner, "_PAIR_BYTES", 16 * 36 * 37)
+    seen = _record_plane_d(monkeypatch)
     got = _pair_kernel_consumers()
-    assert {37, 29} <= set(sizes)
+    assert {sl.stop - sl.start for _, _, sl in seen} == {37, 29}
     for w, g in zip(want, got):
         assert np.max(np.abs(g - w)) < 1e-13
 
@@ -736,60 +786,59 @@ def test_streamed_overlap_memory_is_bounded_by_one_block(monkeypatch):
 
 
 def test_overlap_tensor_evaluates_d_on_the_plane_only(monkeypatch):
-    # the build visits the n_axial x n_theta nodes at phi = 0, as views of
-    # the grid's arrays, and D(k) of the band there; conj(D(k^2)) of the
-    # cutoff comes from the class angles, with no D-matrix of a node
+    # the build evaluates D(k) of the band and D(k^2) of the cutoff from
+    # the class angles, once each on the n_axial x n_theta nodes at phi =
+    # 0, and no hemisphere node reaches dmatrix
     kg = dataclasses.replace(_kgrid(2, 4))
-    sizes = []
-    original = irreps.dmatrix
-
-    def counting(two_j, g):
-        if np.may_share_memory(g, kg.nodes) or np.may_share_memory(g, kg.squared):
-            sizes.append(len(g))
-        return original(two_j, g)
-
-    monkeypatch.setattr(irreps, "dmatrix", counting)
+    _guard_hemisphere_dmatrix(monkeypatch, kg)
+    seen = _record_plane_d(monkeypatch)
     gg = grids.haar_grid_for_degree(2)
     wigner.overlap_trace(_random_pure(50, 1), _random_ensemble(51, 2), 4, gg, kg)
-    plane = kg.shape[0] * kg.shape[1]
-    assert sizes == [plane] * 3
+    plane = slice(0, kg.shape[0] * kg.shape[1])
+    assert seen == [(range(3), 1, plane), (range(5), 2, plane)]
 
 
-def test_cold_overlap_builds_no_dmatrix_of_a_squared_node(monkeypatch):
-    # conj(D^t(k^2)) comes from little_d_matrix at the n_theta angles, so no
-    # row of kgrid.squared reaches dmatrix, as a view or as a copy
-    kg = dataclasses.replace(_ref_grids(2, 6)[1])
-    squared = {tuple(x) for x in kg.squared}
-    original = irreps.dmatrix
-
-    def guarded(two_j, g):
-        if any(tuple(x) in squared for x in np.reshape(g, (-1, 4))):
-            raise AssertionError(f"dmatrix({two_j}) ran on a squared node")
-        return original(two_j, g)
-
-    monkeypatch.setattr(irreps, "dmatrix", guarded)
-    gg = _ref_grids(2, 6)[0]
+def test_no_hemisphere_node_reaches_dmatrix(monkeypatch):
+    # D(k) and D(k^2) come from little_d_matrix at the n_theta angles, so no
+    # row of kgrid.nodes or kgrid.squared reaches dmatrix, as a view or as
+    # a copy, in any consumer of the pair kernel
+    gg, kg = _ref_grids(2, 6)
+    kg = dataclasses.replace(kg)
+    _guard_hemisphere_dmatrix(monkeypatch, kg)
+    for row in (kg.nodes[5:6], kg.squared[7].copy()):
+        with pytest.raises(AssertionError, match="hemisphere node"):
+            irreps.dmatrix(1, row)
     a, b = _random_pure(75, 2), _random_ensemble(76, 2)
+    gs = su2.random_elements(np.random.default_rng(78), 3)
     _, inc = wigner.overlap_trace(a, b, 6, gg, kg)
     assert kg._overlap_tensors
+    wigner.wigner_full_batch(b, gs, 2, kg)
+    for variant in ("left", "right"):
+        wigner.wigner_tilde_batch(b, gs, 3, kg, variant)
+    wigner.marginal_momentum(a, 2, grids.haar_grid_for_degree(4), kg)
+    wigner.marginal_position(b, gs, 6, kg)
+    wigner.reconstruct_kernel(b, gs[0], gs[1], 6, kg)
     monkeypatch.undo()
     assert_allclose(inc, _overlap_direct(a, b, 6, gg, kg), rtol=0, atol=1e-13)
 
 
-def test_class_angle_factor_matches_dmatrix_of_the_squared_nodes():
-    # d^t(theta) Lambda_t d^t(theta)^T against dmatrix on k^2 = R_y(theta)
-    # e^{-2i psi sigma_z} R_y(theta)^{-1}, for every label to 32 at a few
-    # axial rows of the grid that cutoff needs (ending on a partial row);
-    # a label run that starts above 0 reads the same columns
+@pytest.mark.parametrize("power", [1, 2])
+def test_class_angle_factor_matches_dmatrix_of_the_squared_nodes(power):
+    # d^t(theta) Lambda_t d^t(theta)^T against dmatrix on the plane nodes k
+    # = R_y(theta) e^{-i psi sigma_z} R_y(theta)^{-1} (power 1) and on their
+    # squares k^2 (power 2), for every label to 32 at a few axial rows of
+    # the grid that cutoff needs (ending on a partial row); a label run
+    # that starts above 0 reads the same columns
     kg = _kgrid(2, 32)
+    nodes = (kg.nodes, kg.squared)[power - 1][:: kg.n_phi]
     n_theta = len(kg.cos_theta)
     for sl in (slice(0, 2 * n_theta), slice(len(kg.axial) * n_theta - 50, len(kg.axial) * n_theta),
                slice(7 * n_theta + 3, 9 * n_theta - 5)):
-        want = _squared_dmatrix(kg, 32)(sl)
-        got = wigner._squared_factor(kg, range(33))(sl)
+        want = _k_matrices(nodes[sl], 32)
+        got = wigner._plane_d(kg, range(33), power)(sl)
         assert np.max(np.abs(got - want)) < 1e-13
         lo = wigner._coefficient_count(19)
-        assert np.array_equal(wigner._squared_factor(kg, range(20, 26))(sl),
+        assert np.array_equal(wigner._plane_d(kg, range(20, 26), power)(sl),
                               got[:, lo : wigner._coefficient_count(25)])
 
 
@@ -833,25 +882,18 @@ def test_plane_tensor_is_real(monkeypatch, kgrid, two_jmax, two_j):
 
 
 def test_full_blocks_evaluate_d_on_the_plane_only(monkeypatch):
-    # the pair factor conj(D(k)) conj(D(k)) of a full block is built on the
-    # n_axial x n_theta nodes at phi = 0, as views of the grid's nodes, and
-    # no D-matrix anywhere spans the whole hemisphere grid
+    # the rows' D(k) and the pair factor D(k) D(k) of a full block are
+    # built from the class angles, once each on the n_axial x n_theta nodes
+    # at phi = 0; dmatrix runs on the group points only, and no hemisphere
+    # node reaches it
     kg = _kgrid(2, 3)
-    plane = kg.shape[0] * kg.shape[1]
-    on_grid, sizes = [], []
-    original = irreps.dmatrix
-
-    def recording(two_j, g):
-        sizes.append(len(np.atleast_2d(g)))
-        if np.may_share_memory(g, kg.nodes) or np.may_share_memory(g, kg.squared):
-            on_grid.append((len(g), g.base is not None))
-        return original(two_j, g)
-
-    monkeypatch.setattr(irreps, "dmatrix", recording)
+    sizes = _guard_hemisphere_dmatrix(monkeypatch, kg)
+    seen = _record_plane_d(monkeypatch)
     gs = su2.random_elements(np.random.default_rng(59), 5)
     wigner.wigner_full_batch(_random_ensemble(60, 2), gs, 3, kg)
-    assert on_grid and set(on_grid) == {(plane, True)}
-    assert max(sizes) == plane < kg.n_nodes
+    plane = slice(0, kg.shape[0] * kg.shape[1])
+    assert seen == [(range(3), 1, plane), (range(3, 4), 1, plane)]
+    assert sizes and set(sizes) == {5}
 
 
 def test_overlap_tensors_keep_one_band_per_grid():
